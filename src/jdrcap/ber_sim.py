@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity_limits import dolinar_error_q
-from .codes import hadamard_code, sylvester_hadamard
+from .codes import hadamard_code, ml_decode_hard
 
 _CHUNK = 50000
 
@@ -47,26 +47,18 @@ def uncoded_bpsk_ber(nbar):
                     scheme="uncoded_dr", trials=0)
 
 
-def _decode_batch(received_pm1, H):
-    """FWHT-correlation ML decode of a batch of +-1 rows (pilot position zeroed)."""
-    padded = np.zeros((received_pm1.shape[0], H.shape[0]), dtype=np.float32)
-    padded[:, 1:] = received_pm1
-    return np.argmax(padded @ H.T, axis=1)
-
-
 def hadamard_dr_ber(m, nbar, trials, seed):
     """Monte Carlo message-bit BER of the Hadamard code under symbol-wise detection.
 
     Each Dolinar receiver turns a symbol into a BSC(q) bit; the block is
     ML-decoded through the Walsh-Hadamard correlation. Message bits are the
-    little-endian binary label of the codeword index, so bit errors are
+    big-endian binary label of the codeword index, so bit errors are
     popcounts of index XORs.
     """
     if trials < 10 ** 4:
         raise ValueError(f"need at least 1e4 trials for a meaningful estimate, got {trials}")
     q = dolinar_error_q(nbar)
     code = hadamard_code(m, with_ancilla=False)
-    H = sylvester_hadamard(m).astype(np.float32)
     codewords = code.codewords
     K = code.size
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed)))
@@ -77,7 +69,7 @@ def hadamard_dr_ber(m, nbar, trials, seed):
         msg = rng.integers(0, K, size=batch)
         flips = rng.random((batch, code.n)) < q
         received = codewords[msg] ^ flips
-        decoded = _decode_batch(1.0 - 2.0 * received, H)
+        decoded = ml_decode_hard(code, received)
         bit_errors += int(np.bitwise_count(msg ^ decoded).sum())
         done += batch
     total_bits = trials * m

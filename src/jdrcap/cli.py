@@ -64,8 +64,8 @@ def _emit(payload, manifest_params, subcommand, seed, out_path):
 
 
 def _log_grid(args):
-    if args.nbar_min <= 0 or args.nbar_max <= args.nbar_min or args.points < 2:
-        raise SystemExit2("need 0 < nbar-min < nbar-max and points >= 2")
+    if not 0 < args.nbar_min < args.nbar_max < np.inf or args.points < 2:
+        raise SystemExit2("need 0 < nbar-min < nbar-max < inf and points >= 2")
     return np.geomspace(args.nbar_min, args.nbar_max, args.points)
 
 
@@ -85,6 +85,8 @@ def cmd_limits(args):
     unknown = set(families) - set(LIMIT_FAMILIES)
     if unknown:
         raise SystemExit2(f"unknown families {sorted(unknown)}; choose from {LIMIT_FAMILIES}")
+    if args.m_max < 1:
+        raise SystemExit2("need --m-max >= 1")
     m_range = range(1, args.m_max + 1)
     columns = {"nbar": grid}
     for fam in families:
@@ -115,8 +117,10 @@ def cmd_tradeoff(args):
         modes_list = [int(tok) for tok in args.modes_list.split(",")]
     except ValueError:
         raise SystemExit2(f"bad --modes-list {args.modes_list!r}")
-    if args.nr_min <= 0 or args.nr_max <= args.nr_min or args.points < 2:
-        raise SystemExit2("need 0 < nr-min < nr-max and points >= 2")
+    if min(modes_list) < 1:
+        raise SystemExit2("need every mode count >= 1")
+    if not 0 < args.nr_min < args.nr_max < np.inf or args.points < 2:
+        raise SystemExit2("need 0 < nr-min < nr-max < inf and points >= 2")
     grid = np.geomspace(args.nr_min, args.nr_max, args.points)
     rows = []
     for modes in modes_list:
@@ -158,6 +162,8 @@ def _child_seed(master, index):
 
 
 def cmd_ber(args):
+    if not 1 <= args.m <= 10:
+        raise SystemExit2("need 1 <= m <= 10")
     grid = _log_grid(args)
     if args.trials < 10 ** 4:
         raise SystemExit2("need --trials >= 10000")
@@ -188,8 +194,10 @@ def cmd_link(args):
         if len(toks) != 2:
             raise SystemExit2(f"bad {what} {spec!r}; give one value or tx,rx")
         return float(toks[0]), float(toks[1])
-    n_r = args.se / args.pie
+    if not (args.pie > 0 and args.se > 0):
+        raise SystemExit2("need --pie > 0 and --se > 0")
     try:
+        n_r, nbar_star, modes_needed = required_modes(args.pie, args.se)
         if args.radii is not None:
             r_tx, r_rx = two_floats(args.radii, "--radii")
             params = LinkParams.from_radii(args.wavelength, args.range, r_tx, r_rx,
@@ -202,7 +210,6 @@ def cmd_link(args):
     except ValueError as exc:
         raise SystemExit2(str(exc))
     counted = mode_count(params)
-    n_r, nbar_star, modes_needed = required_modes(args.pie, args.se)
     power, rate = power_and_rate(params, args.pie)
     report = {
         "fresnel_number": fresnel_number(params),

@@ -116,56 +116,61 @@ def two_symbol_code():
 
 
 def fwht(v, normalized=False):
-    """Fast Walsh-Hadamard transform via in-place butterflies.
+    """Walsh-Hadamard transform over the last axis of an (..., n) array.
 
-    The normalized variant scales by 1/sqrt(2) per stage and is an
-    involution; the plain variant equals multiplication by the Sylvester
-    matrix. Input length must be a power of two.
+    The plain variant equals multiplication by the Sylvester matrix; the
+    normalized one scales by 1/sqrt(n) and is an involution. The order-2^m
+    Sylvester matrix is the Kronecker product of Sylvester factors of at most
+    256 rows: each factor is one matrix product on the last axis, which is
+    then rotated to the front of the index, so m <= 8 is a single product.
+    Floating and complex inputs keep their dtype; others become float64.
+    Input length must be a power of two.
     """
-    v = np.array(v, dtype=complex if np.iscomplexobj(v) else float)
-    n = v.shape[0]
+    v = np.asarray(v)
+    if v.dtype.kind not in "fc":
+        v = v.astype(float)
+    n = v.shape[-1] if v.ndim else 0
     if n == 0 or n & (n - 1):
         raise ValueError(f"FWHT needs a power-of-two length, got {n}")
-    h = 1
-    while h < n:
-        for start in range(0, n, 2 * h):
-            a = v[start:start + h].copy()
-            b = v[start + h:start + 2 * h]
-            v[start:start + h] = a + b
-            v[start + h:start + 2 * h] = a - b
-        h *= 2
+    m = n.bit_length() - 1
+    k = max(1, -(-m // 8))  # fewest factors of at most 2^8 rows, near-equal orders
+    batch = v.shape[:-1]
+    for b in (m // k + (i < m % k) for i in range(k)):
+        f = 1 << b
+        # a 2-D operand makes this one BLAS call, not one per batch row
+        v = (v.reshape(-1, f) @ sylvester_hadamard(b).astype(v.dtype)).reshape(-1, n // f, f)
+        v = v.swapaxes(1, 2)
+    v = v.reshape(batch + (n,))
     if normalized:
         v /= np.sqrt(n)
     return v
 
 
-def _correlations(code, received):
-    """Agreement counts with every codeword, computed by FWHT correlation."""
-    s = 1.0 - 2.0 * np.asarray(received, dtype=float)
-    if code.family == "hadamard" and code.n & (code.n - 1):
-        # pilot coordinate was deleted; re-insert a zero so the transform
-        # returns exactly the correlations over the surviving coordinates
-        s = np.concatenate([[0.0], s])
-    corr = fwht(s)[: min(code.size, len(s))]
-    if code.family == "rm1":
-        corr = np.concatenate([corr, -corr])
-    return (code.n + corr) / 2.0
-
-
 def ml_decode_hard(code, received):
     """Maximum-likelihood (minimum Hamming distance) hard decoding.
 
-    Hadamard/RM codes decode through an FWHT correlation; other codes fall
-    back to brute force over all codewords. Ties break to the smallest index.
+    ``received`` is one word (n,), decoded to an int, or a batch (..., n),
+    decoded to an index array. Hadamard/RM codes decode by the FWHT of the
+    +-1 word, zero-padded at the front to 2^m modes where the pilot
+    coordinate was deleted; RM(1,m) appends the complements' correlations.
+    Other codes fall back to brute force over all codewords. Ties break to
+    the smallest index.
     """
     received = np.asarray(received)
-    if received.shape != (code.n,):
+    if received.ndim == 0 or received.shape[-1] != code.n:
         raise ValueError(f"received length {received.shape} != block length {code.n}")
     if code.family in ("hadamard", "rm1"):
-        agreements = _correlations(code, received)
+        modes = code.size if code.family == "hadamard" else code.n
+        s = np.zeros(received.shape[:-1] + (modes,), dtype=np.float32)
+        s[..., modes - code.n:] = 1 - 2 * received.astype(np.float32)
+        # correlations: twice the agreement count minus n, same argmax
+        scores = fwht(s)
+        if code.family == "rm1":
+            scores = np.concatenate([scores, -scores], axis=-1)
     else:
-        agreements = code.n - np.sum(code.codewords != received.astype(np.uint8), axis=1)
-    return int(np.argmax(agreements))
+        scores = -np.sum(code.codewords != received[..., None, :].astype(np.uint8), axis=-1)
+    decoded = np.argmax(scores, axis=-1)
+    return int(decoded) if received.ndim == 1 else decoded
 
 
 def dump_codebook(code):

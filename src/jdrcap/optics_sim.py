@@ -14,7 +14,7 @@ here are real so no generality is lost.
 import numpy as np
 
 from .capacity_limits import dolinar_error_q, rm_gm_outcome_probs
-from .codes import hadamard_code, rm1_code, two_symbol_code
+from .codes import fwht, hadamard_code, rm1_code, two_symbol_code
 from .dmc import DiscreteChannel
 
 _SQRT2 = np.sqrt(2.0)
@@ -33,18 +33,7 @@ def green_machine(amps):
     and energy conserving. A BPSK Hadamard codeword (pilot included) maps to
     a single pulsed mode: the PPM unraveling.
     """
-    v = np.array(amps, dtype=complex if np.iscomplexobj(amps) else float)
-    n = v.shape[0]
-    if n == 0 or n & (n - 1):
-        raise ValueError(f"Green Machine needs a power-of-two mode count, got {n}")
-    h = 1
-    while h < n:
-        for start in range(0, n, 2 * h):
-            a = v[start:start + h].copy()
-            b = v[start + h:start + 2 * h]
-            v[start:start + h], v[start + h:start + 2 * h] = beam_splitter(a, b)
-        h *= 2
-    return v
+    return fwht(amps, normalized=True)
 
 
 def spd_click_prob(a):
@@ -101,14 +90,16 @@ def two_symbol_receiver_channel(nbar):
 
 
 def _first_click_rows(click_probs):
-    """Outcome distribution when SPDs are read in order and the first click wins.
+    """Outcome distributions when SPDs are read in order and the first click wins.
 
-    P(position i) = p_i prod_{j<i} (1 - p_j); the leftover product is the
-    erasure (no clicks anywhere). Rows sum to 1 exactly by telescoping.
+    Along the last axis, P(position i) = p_i prod_{j<i} (1 - p_j); the
+    leftover product is the erasure (no clicks anywhere). Rows sum to 1
+    exactly by telescoping.
     """
     click_probs = np.asarray(click_probs, dtype=float)
-    survive = np.concatenate([[1.0], np.cumprod(1.0 - click_probs)])
-    return click_probs * survive[:-1], survive[-1]
+    ones = np.ones(click_probs.shape[:-1] + (1,))
+    survive = np.concatenate([ones, np.cumprod(1.0 - click_probs, axis=-1)], axis=-1)
+    return click_probs * survive[..., :-1], survive[..., -1]
 
 
 def hadamard_jdr_channel(m, nbar):
@@ -125,12 +116,9 @@ def hadamard_jdr_channel(m, nbar):
         raise ValueError(f"mean photon number must be >= 0, got {nbar}")
     code = hadamard_code(m, with_ancilla=True)
     K = code.size
-    rows = np.zeros((K, K + 1))
-    for k, amps in enumerate(code.amplitudes(np.sqrt(nbar))):
-        out = green_machine(amps)
-        pos_probs, erase = _first_click_rows(spd_click_prob(np.abs(out)))
-        rows[k, :K] = pos_probs
-        rows[k, K] = erase
+    out = green_machine(code.amplitudes(np.sqrt(nbar)))
+    pos_probs, erase = _first_click_rows(spd_click_prob(np.abs(out)))
+    rows = np.column_stack([pos_probs, erase])
     inputs = tuple(f"cw{k}" for k in range(K))
     outputs = tuple(f"pos{j}" for j in range(K)) + ("erasure",)
     return DiscreteChannel(inputs=inputs, outputs=outputs, p=rows)
@@ -148,19 +136,17 @@ def rm_gm_jdr_channel(m, nbar):
     code = rm1_code(m)
     K = code.size
     n_modes = 2 ** m
+    k = np.arange(K)
+    if nbar == 0:
+        pos, negative = k % n_modes, k >= n_modes
+    else:
+        out = green_machine(code.amplitudes(np.sqrt(nbar)))
+        pos = np.argmax(np.abs(out), axis=1)
+        negative = out[k, pos].real < 0
     rows = np.zeros((K, K + 1))
-    for k, amps in enumerate(code.amplitudes(np.sqrt(nbar))):
-        out = green_machine(amps)
-        if nbar == 0:
-            pos, sign = k % n_modes, +1 if k < n_modes else -1
-        else:
-            pos = int(np.argmax(np.abs(out)))
-            sign = 1 if out[pos].real >= 0 else -1
-        same = pos if sign > 0 else pos + n_modes
-        flipped = pos + n_modes if sign > 0 else pos
-        rows[k, same] = p_plus
-        rows[k, flipped] = p_minus
-        rows[k, K] = p0
+    rows[k, pos + n_modes * negative] = p_plus
+    rows[k, pos + n_modes * ~negative] = p_minus
+    rows[:, K] = p0
     inputs = tuple(f"cw{k}" for k in range(K))
     outputs = tuple(f"cw{j}" for j in range(K)) + ("erasure",)
     return DiscreteChannel(inputs=inputs, outputs=outputs, p=rows)

@@ -58,6 +58,12 @@ class TestLimits:
             cli.main(["limits", "--families", "bogus"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("argv", [["--nbar-min", "nan"], ["--m-max", "0"]])
+    def test_bad_input_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["limits"] + argv)
+        assert excinfo.value.code == 2
+
 
 class TestTradeoff:
     def test_paper_point_on_grid(self, capsys):
@@ -90,6 +96,11 @@ class TestTradeoff:
         _, rows = parse_csv(out)
         assert rows[0, 1] == 0.25
         assert rows[-1, 1] == 4.0
+
+    def test_zero_modes_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["tradeoff", "--modes-list", "0"])
+        assert excinfo.value.code == 2
 
 
 class TestSuperchannel:
@@ -160,6 +171,12 @@ class TestBer:
             cli.main(["ber", "--trials", "100"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("m", ["0", "11"])
+    def test_m_out_of_range_usage_error(self, capsys, m):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["ber", "--m", m, "--points", "2", "--trials", "10000"])
+        assert excinfo.value.code == 2
+
 
 class TestLink:
     ARGS = ["link", "--wavelength", "1.55e-6", "--range", "1000",
@@ -193,6 +210,13 @@ class TestLink:
     def test_radii_and_areas_exclusive(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(self.ARGS + ["--areas", "0.01"])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("pie", ["0", "nan", "1e4"])
+    def test_bad_pie_usage_error(self, capsys, pie):
+        # 1e4 bits per photon needs an nbar below the smallest double
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(self.ARGS[:-4] + ["--pie", pie, "--se", "5"])
         assert excinfo.value.code == 2
 
 

@@ -121,22 +121,63 @@ class TestFwht:
         assert np.allclose(codes.fwht(v, normalized=True),
                            dense_walsh(v) / 2 ** (m / 2), atol=1e-10)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex128])
+    @pytest.mark.parametrize("m", range(0, 11))
+    def test_batch_matches_dense_rows(self, m, dtype):
+        rng = np.random.default_rng(m)
+        v = rng.normal(size=(3, 2 ** m))
+        if dtype is np.complex128:
+            v = v + 1j * rng.normal(size=v.shape)
+        v = v.astype(dtype)
+        out = codes.fwht(v)
+        assert out.dtype == dtype
+        # summation error bound of a length-2^m inner product in this dtype
+        tol = 2 ** m * np.finfo(dtype).eps * np.abs(v).max()
+        for row, got in zip(v, out):
+            assert np.allclose(got, dense_walsh(row), rtol=0, atol=tol)
+
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             codes.fwht([1.0, 2.0, 3.0])
 
 
+def all_words(n):
+    return ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+
+
+SMALL_CODES = pytest.mark.parametrize("make", [
+    lambda: codes.hadamard_code(3),
+    lambda: codes.hadamard_code(3, with_ancilla=True),
+    lambda: codes.rm1_code(3),
+    codes.two_symbol_code,
+    lambda: codes.hadamard_code(1),
+    lambda: codes.hadamard_code(1, with_ancilla=True),
+])
+
+
 class TestMlDecodeHard:
-    @pytest.mark.parametrize("make", [
-        lambda: codes.hadamard_code(3),
-        lambda: codes.hadamard_code(3, with_ancilla=True),
-        lambda: codes.rm1_code(3),
-        codes.two_symbol_code,
-    ])
+    @SMALL_CODES
     def test_noiseless_roundtrip(self, make):
         code = make()
         for k in range(code.size):
             assert codes.ml_decode_hard(code, code.codewords[k]) == k
+
+    @SMALL_CODES
+    def test_every_word_matches_brute_force(self, make):
+        code = make()
+        for word in all_words(code.n):
+            decoded = codes.ml_decode_hard(code, word)
+            assert type(decoded) is int
+            assert decoded == brute_force_ml(code.codewords, word)
+
+    @SMALL_CODES
+    def test_batch_matches_per_word(self, make):
+        code = make()
+        words = all_words(code.n)
+        per_word = [codes.ml_decode_hard(code, w) for w in words]
+        batch = codes.ml_decode_hard(code, words.reshape(2, -1, code.n))
+        assert batch.shape == (2, len(words) // 2)
+        assert batch.ravel().tolist() == per_word
 
     def test_unique_decoding_radius(self):
         code = codes.hadamard_code(4)
