@@ -5,15 +5,18 @@ single-symbol (Dolinar) and joint-measurement limits, the superchannel
 capacities of the Hadamard and first-order Reed-Muller receiver families,
 and the PIE/spectral-efficiency tradeoff of a multi-mode link.
 
-All functions are pure and safe for concurrent evaluation.
+Every closed form takes a mean photon number nbar as a scalar or an array:
+a scalar gives a float, an array an array of the same shape. All functions
+are pure and safe for concurrent evaluation.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad  # noqa: F401  read by perfbench/tracer.py for kernels.quad.calls
+from scipy.special import ellipeinc, ellipkinc
 
-from .entropy import LN2, binary_entropy, entropy_bits, xlog2
+from .entropy import LN2, binary_entropy, xlog2
 
 
 class ConsistencyError(ArithmeticError):
@@ -40,23 +43,31 @@ class TradeoffPoint:
     modes: int
 
 
+def _photons(x, strict=False):
+    """x as a float array; raises unless every entry is >= 0 (> 0 if strict), so NaN too."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(x > 0 if strict else x >= 0):
+        raise ValueError(f"photon number must be {'> 0' if strict else '>= 0'}, got {x}")
+    return x
+
+
+def _float_or_array(x):
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def g(nbar):
     """Holevo capacity of a lossless bosonic mode, (1+n)log2(1+n) - n log2(n) bits.
 
     g(0) = 0 by the x log x -> 0 convention.
     """
-    if nbar < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {nbar}")
-    if nbar == 0:
-        return 0.0
-    return (1.0 + nbar) * np.log1p(nbar) / LN2 - nbar * np.log2(nbar)
+    nbar = _photons(nbar)
+    return _float_or_array((1.0 + nbar) * np.log1p(nbar) / LN2 - xlog2(nbar))
 
 
 def pie_ultimate(nbar):
     """Ultimate photon information efficiency g(nbar)/nbar, bits per photon."""
-    if nbar <= 0:
-        raise ValueError(f"PIE needs nbar > 0, got {nbar}")
-    return g(nbar) / nbar
+    nbar = _photons(nbar, strict=True)
+    return _float_or_array(g(nbar) / nbar)
 
 
 def nbar_for_pie(target_pie, rel_tol=1e-9):
@@ -64,8 +75,8 @@ def nbar_for_pie(target_pie, rel_tol=1e-9):
 
     Bisection on the strictly decreasing PIE; unconditionally convergent.
     """
-    if target_pie <= 0:
-        raise ValueError(f"target PIE must be > 0, got {target_pie}")
+    if not 0 < target_pie < np.inf:
+        raise ValueError(f"target PIE must be > 0 and finite, got {target_pie}")
     lo, hi = 1.0, 1.0
     while pie_ultimate(lo) < target_pie:
         lo /= 8.0
@@ -82,48 +93,42 @@ def nbar_for_pie(target_pie, rel_tol=1e-9):
 
 def holevo_bpsk(nbar):
     """Holevo limit of the BPSK alphabet: H_b((1 + e^{-2 nbar})/2) bits/symbol."""
-    if nbar < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {nbar}")
     # evaluate the entropy at the small branch (1 - e^{-2n})/2 for stability
-    y = -np.expm1(-2.0 * nbar) / 2.0
-    return binary_entropy(y)
+    return binary_entropy(-np.expm1(-2.0 * _photons(nbar)) / 2.0)
 
 
 def dolinar_error_q(nbar):
     """Helstrom/Dolinar BPSK error probability [1 - sqrt(1 - e^{-4 nbar})]/2."""
-    if nbar < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {nbar}")
-    return 0.5 * (1.0 - np.sqrt(-np.expm1(-4.0 * nbar)))
+    return _float_or_array(0.5 * (1.0 - np.sqrt(-np.expm1(-4.0 * _photons(nbar)))))
 
 
 def c1_bpsk_dolinar(nbar):
     """Single-symbol BPSK capacity 1 - H_b(q) of the Dolinar-receiver BSC."""
-    if nbar < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {nbar}")
     return 1.0 - binary_entropy(dolinar_error_q(nbar))
+
+
+# Taylor coefficients of f(b) / b^{3/2} at b = 0, and where the series takes over
+_F_SERIES = (2 / 3, -2 / 3, 3 / 7, -13 / 63, 1073 / 13860, -65 / 2772)
+_F_SERIES_BELOW = 1e-2
 
 
 def f_integral(b):
     """The phase-information integral f(b) = 1/2 int_a^1 sqrt(1-(a/x)^4) dx, a = e^{-b}.
 
-    The integrand has a sqrt(x - a) cusp at the lower endpoint; the
-    substitution x = a + (1-a) t^2 removes it, after which adaptive
-    Gauss-Kronrod quadrature reaches 1e-12 absolute cheaply.
+    In closed form, with phi = arccos(a) and the incomplete elliptic integrals
+    E and F at parameter 1/2:
+    f(b) = [sqrt(1 - a^4) - sqrt(2) a (2 E(phi|1/2) - F(phi|1/2))] / 2.
+    Its two terms cancel as b -> 0, so below b = 1e-2 the Taylor series
+    b^{3/2} (2/3 - 2b/3 + 3b^2/7 - ...) is used instead.
     """
-    if b < 0:
-        raise ValueError(f"f is defined for b >= 0, got {b}")
+    b = _photons(b)
     a = np.exp(-b)
-    if a >= 1.0:
-        return 0.0
-    span = 1.0 - a
-
-    def integrand(t):
-        x = a + span * t * t
-        r = (a / x) ** 2
-        return np.sqrt(max(0.0, (1.0 - r) * (1.0 + r))) * 2.0 * span * t
-
-    val, _ = quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)
-    return 0.5 * val
+    phi = np.arccos(a)
+    elliptic = 0.5 * (np.sqrt(-np.expm1(-4.0 * b))
+                      - np.sqrt(2.0) * a * (2.0 * ellipeinc(phi, 0.5) - ellipkinc(phi, 0.5)))
+    small = np.minimum(b, _F_SERIES_BELOW)  # keeps the unused branch finite at b = inf
+    series = small * np.sqrt(small) * np.polynomial.polynomial.polyval(small, _F_SERIES)
+    return _float_or_array(np.where(b < _F_SERIES_BELOW, series, elliptic))
 
 
 def hadamard_jdr_capacity(m, nbar):
@@ -134,10 +139,8 @@ def hadamard_jdr_capacity(m, nbar):
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    if nbar < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {nbar}")
     n = 2 ** m
-    return (m / n) * -np.expm1(-n * nbar)
+    return _float_or_array((m / n) * -np.expm1(-n * _photons(nbar)))
 
 
 def rm_gm_outcome_probs(m, nbar):
@@ -148,20 +151,18 @@ def rm_gm_outcome_probs(m, nbar):
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    if nbar < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {nbar}")
-    n_pulse = (2 ** m) * nbar
+    n_pulse = (2 ** m) * _photons(nbar)
     p0 = np.exp(-n_pulse)
     half = -np.expm1(-n_pulse) / 2.0
     f = f_integral(n_pulse)
     p_plus = half + f
     p_minus = half - f
-    if p_minus < -1e-12:
+    if np.any(p_minus < -1e-12):
         raise ConsistencyError(
-            f"f({n_pulse}) = {f} exceeds (1-p0)/2 = {half}; quadrature bound violated"
+            f"f({n_pulse}) = {f} exceeds (1-p0)/2 = {half}; closed-form bound violated"
         )
-    p_minus = max(p_minus, 0.0)
-    return p_plus, p_minus, p0
+    p_minus = np.maximum(p_minus, 0.0)
+    return _float_or_array(p_plus), _float_or_array(p_minus), _float_or_array(p0)
 
 
 def rm_gm_jdr_capacity(m, nbar):
@@ -170,13 +171,13 @@ def rm_gm_jdr_capacity(m, nbar):
     [(1-p0)(m+1) + H(p0, 1-p0) - H(p+, p-, p0)] / 2^m bits/symbol.
     """
     p_plus, p_minus, p0 = rm_gm_outcome_probs(m, nbar)
-    not_erased = -np.expm1(-(2 ** m) * nbar)
+    not_erased = -np.expm1(-(2 ** m) * np.asarray(nbar, dtype=float))
     num = (
         not_erased * (m + 1)
-        + entropy_bits([p0, not_erased])
-        - entropy_bits([p_plus, p_minus, p0])
+        - (xlog2(p0) + xlog2(not_erased))
+        + (xlog2(p_plus) + xlog2(p_minus) + xlog2(p0))
     )
-    return max(num, 0.0) / (2 ** m)
+    return _float_or_array(np.maximum(num, 0.0) / (2 ** m))
 
 
 def rm_mpe_capacity(m, nbar):
@@ -188,59 +189,59 @@ def rm_mpe_capacity(m, nbar):
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    if nbar < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {nbar}")
-    if nbar == 0:
-        return 0.0
+    nbar = _photons(nbar)
     n = 2 ** m
     K = 2 ** (m + 1)
     p0 = np.exp(-n * nbar)
     gamma = 1.0 + 2.0 * p0 * (2 ** (m - 1) - 1) + p0 * p0
     disc = (gamma - n * p0) * (gamma + n * p0)
-    if disc < -1e-12:
+    if np.any(disc < -1e-12):
         raise ConsistencyError(f"gamma^2 - 4^m p0^2 = {disc} < 0 at m={m}, nbar={nbar}")
     one_minus_p0 = -np.expm1(-n * nbar)
     sqrt_disc = one_minus_p0 * np.sqrt(gamma + n * p0)
     c2 = (n * p0) ** 2 / (2 ** (2 * m + 1) * (gamma + sqrt_disc))
-    if c2 == 0.0:
-        # deep orthogonal regime: corrections are O(p0 log p0), below double
-        # precision once c^2 underflows
-        return (m + 1) / n
+    # deep orthogonal regime: once c^2 is subnormal or zero the corrections
+    # are O(p0 log p0) ~ 1e-154, below double precision
+    orthogonal = c2 < np.finfo(float).tiny
+    c2 = np.where(orthogonal, 1.0, c2)
     c = np.sqrt(c2)
     sym = (p0 - c2 * (K - 4)) / (2.0 * c)
     anti = np.sqrt(one_minus_p0 * (1.0 + p0))
     a_plus = 0.5 * (sym + anti)
     a_minus = 0.5 * (sym - anti)
     num = (m + 1) + xlog2(a_plus ** 2) + xlog2(a_minus ** 2) + (K - 2) * xlog2(c2)
-    return max(float(num), 0.0) / n
+    bits = np.where(orthogonal, (m + 1) / n, np.maximum(num, 0.0) / n)
+    return _float_or_array(np.where(nbar == 0, 0.0, bits))
 
 
-_ENVELOPE_FAMILIES = {
-    "hadamard": hadamard_jdr_capacity,
+CLOSED_FORMS = {
+    "hadamard_jdr": hadamard_jdr_capacity,
     "rm_gm": rm_gm_jdr_capacity,
+    "rm_mpe": rm_mpe_capacity,
 }
 
 
 def pie_envelope(nbar, family, m_range):
     """Best PIE over a code-size range: max_m I_m(nbar)/nbar.
 
-    Returns (m_star, pie); ties break to the smaller m.
+    ``family`` is a key of CLOSED_FORMS; "hadamard" names "hadamard_jdr".
+    Returns (m_star, pie), ints/floats for a scalar nbar and arrays for an
+    array; ties break to the smaller m.
     """
-    if nbar <= 0:
-        raise ValueError(f"PIE envelope needs nbar > 0, got {nbar}")
+    nbar = _photons(nbar, strict=True)
     try:
-        cap = _ENVELOPE_FAMILIES[family]
+        cap = CLOSED_FORMS[{"hadamard": "hadamard_jdr"}.get(family, family)]
     except KeyError:
-        raise ValueError(f"unknown family {family!r}; choose from {sorted(_ENVELOPE_FAMILIES)}")
+        raise ValueError(f"unknown family {family!r}; choose from {sorted(CLOSED_FORMS)}")
     ms = sorted(set(int(m) for m in m_range))
     if not ms:
         raise ValueError("empty m range")
-    best_m, best_pie = ms[0], -np.inf
-    for m in ms:
-        pie = cap(m, nbar) / nbar
-        if pie > best_pie:
-            best_m, best_pie = m, pie
-    return best_m, best_pie
+    pies = np.array([cap(m, nbar) for m in ms]) / nbar
+    m_star = np.array(ms)[np.argmax(pies, axis=0)]
+    best = pies.max(axis=0)
+    if nbar.ndim == 0:
+        return int(m_star), float(best)
+    return m_star, best
 
 
 def tradeoff_curve(modes, n_r_grid):
@@ -251,11 +252,8 @@ def tradeoff_curve(modes, n_r_grid):
     """
     if modes < 1:
         raise ValueError(f"need at least one mode, got {modes}")
-    points = []
-    for n_r in n_r_grid:
-        if n_r <= 0:
-            raise ValueError(f"photon budget must be > 0, got {n_r}")
-        se = modes * g(n_r / modes)
-        points.append(TradeoffPoint(spectral_efficiency=se, pie=se / n_r,
-                                    n_r=float(n_r), modes=int(modes)))
-    return points
+    n_r = _photons(n_r_grid, strict=True)
+    se = modes * g(n_r / modes)
+    return [TradeoffPoint(spectral_efficiency=float(s), pie=float(p), n_r=float(r),
+                          modes=int(modes))
+            for s, p, r in zip(se, se / n_r, n_r)]

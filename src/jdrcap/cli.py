@@ -75,38 +75,35 @@ class SystemExit2(SystemExit):
         super().__init__(2)
 
 
-LIMIT_FAMILIES = ("ultimate", "holevo_bpsk", "c1_dolinar", "hadamard_envelope",
-                  "rm_gm_envelope", "two_symbol")
+# each limits column as a function of the nbar grid and the code orders of the envelopes
+LIMIT_COLUMNS = {
+    "ultimate": lambda grid, ms: capacity_limits.pie_ultimate(grid),
+    "holevo_bpsk": lambda grid, ms: capacity_limits.holevo_bpsk(grid) / grid,
+    "c1_dolinar": lambda grid, ms: capacity_limits.c1_bpsk_dolinar(grid) / grid,
+    "hadamard_envelope":
+        lambda grid, ms: capacity_limits.pie_envelope(grid, "hadamard_jdr", ms)[1],
+    "rm_gm_envelope": lambda grid, ms: capacity_limits.pie_envelope(grid, "rm_gm", ms)[1],
+    "two_symbol":
+        lambda grid, ms: [pt.pie for pt in superchannel.capacity_curves("two_symbol", None, grid)],
+}
+
+
+def _check_m(m, flag):
+    if m is not None and not 1 <= m <= 10:
+        raise SystemExit2(f"need 1 <= {flag} <= 10")
 
 
 def cmd_limits(args):
     grid = _log_grid(args)
-    families = args.families.split(",") if args.families else list(LIMIT_FAMILIES)
-    unknown = set(families) - set(LIMIT_FAMILIES)
+    families = args.families.split(",") if args.families else list(LIMIT_COLUMNS)
+    unknown = set(families) - set(LIMIT_COLUMNS)
     if unknown:
-        raise SystemExit2(f"unknown families {sorted(unknown)}; choose from {LIMIT_FAMILIES}")
-    if args.m_max < 1:
-        raise SystemExit2("need --m-max >= 1")
+        raise SystemExit2(f"unknown families {sorted(unknown)}; "
+                          f"choose from {tuple(LIMIT_COLUMNS)}")
+    _check_m(args.m_max, "m-max")
     m_range = range(1, args.m_max + 1)
-    columns = {"nbar": grid}
-    for fam in families:
-        if fam == "ultimate":
-            col = [capacity_limits.pie_ultimate(n) for n in grid]
-        elif fam == "holevo_bpsk":
-            col = [capacity_limits.holevo_bpsk(n) / n for n in grid]
-        elif fam == "c1_dolinar":
-            col = [capacity_limits.c1_bpsk_dolinar(n) / n for n in grid]
-        elif fam == "hadamard_envelope":
-            col = [capacity_limits.pie_envelope(n, "hadamard", m_range)[1] for n in grid]
-        elif fam == "rm_gm_envelope":
-            col = [capacity_limits.pie_envelope(n, "rm_gm", m_range)[1] for n in grid]
-        else:
-            points = superchannel.capacity_curves("two_symbol", None, grid)
-            col = [pt.pie for pt in points]
-        columns[fam] = col
-    header = ["nbar"] + families
-    rows = zip(*(columns[h] for h in header))
-    payload = _csv(header, ([float(v) for v in row] for row in rows))
+    columns = [grid] + [LIMIT_COLUMNS[fam](grid, m_range) for fam in families]
+    payload = _csv(["nbar"] + families, ([float(v) for v in row] for row in zip(*columns)))
     params = {"nbar_min": args.nbar_min, "nbar_max": args.nbar_max,
               "points": args.points, "families": families, "m_max": args.m_max}
     return _emit(payload, params, "limits", None, args.out)
@@ -134,6 +131,7 @@ def cmd_tradeoff(args):
 
 def cmd_superchannel(args):
     grid = _log_grid(args)
+    _check_m(args.m, "m")
     if args.family != "two_symbol" and args.m is None:
         raise SystemExit2(f"family {args.family} requires --m")
     try:
@@ -162,8 +160,7 @@ def _child_seed(master, index):
 
 
 def cmd_ber(args):
-    if not 1 <= args.m <= 10:
-        raise SystemExit2("need 1 <= m <= 10")
+    _check_m(args.m, "m")
     grid = _log_grid(args)
     if args.trials < 10 ** 4:
         raise SystemExit2("need --trials >= 10000")
@@ -245,8 +242,8 @@ def build_parser():
     p = sub.add_parser("limits", help="PIE of the capacity families on a log nbar grid")
     add_nbar_grid(p, 1e-6, 10.0, 200)
     p.add_argument("--families", default=None,
-                   help=f"comma list from {','.join(LIMIT_FAMILIES)} (default all)")
-    p.add_argument("--m-max", type=int, default=10, help="largest code order in envelopes")
+                   help=f"comma list from {','.join(LIMIT_COLUMNS)} (default all)")
+    p.add_argument("--m-max", type=int, default=10, help="largest code order in envelopes, 1..10")
     p.add_argument("--out", default=None)
     p.set_defaults(run=cmd_limits)
 
@@ -260,15 +257,15 @@ def build_parser():
 
     p = sub.add_parser("superchannel", help="capacity and PIE of one receiver family")
     p.add_argument("--family", required=True,
-                   choices=("hadamard_jdr", "rm_gm", "rm_mpe", "two_symbol"))
-    p.add_argument("--m", type=int, default=None)
+                   choices=(*capacity_limits.CLOSED_FORMS, "two_symbol"))
+    p.add_argument("--m", type=int, default=None, help="code order, 1..10")
     add_nbar_grid(p, 1e-6, 2.0, 100)
     p.add_argument("--receiver", choices=("structured", "mpe"), default="structured")
     p.add_argument("--out", default=None)
     p.set_defaults(run=cmd_superchannel)
 
     p = sub.add_parser("ber", help="bit error rates of the Hadamard code receivers")
-    p.add_argument("--m", type=int, default=8)
+    p.add_argument("--m", type=int, default=8, help="code order, 1..10")
     add_nbar_grid(p, 1e-3, 1e-1, 10)
     p.add_argument("--trials", type=int, default=100000)
     p.add_argument("--seed", type=int, default=None)

@@ -35,11 +35,14 @@ def binary_entropy(q):
     """H_b(q) in bits, stable near q = 0 and q = 1.
 
     The (1-q)log2(1-q) term uses log1p so that tiny q does not lose the
-    linear-in-q contribution to cancellation.
+    linear-in-q contribution to cancellation. Accepts scalars or arrays.
     """
-    q = float(q)
-    if not 0.0 <= q <= 1.0:
+    q = np.asarray(q, dtype=float)
+    if not np.all((q >= 0.0) & (q <= 1.0)):
         raise ValueError(f"binary entropy needs q in [0,1], got {q}")
-    if q == 0.0 or q == 1.0:
-        return 0.0
-    return -q * np.log2(q) - (1.0 - q) * np.log1p(-q) / LN2
+    inner = (q > 0.0) & (q < 1.0)
+    q = np.where(inner, q, 0.5)
+    h = np.where(inner, -q * np.log2(q) - (1.0 - q) * np.log1p(-q) / LN2, 0.0)
+    if h.ndim == 0:
+        return float(h)
+    return h

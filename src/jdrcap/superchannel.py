@@ -10,13 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import discrimination, optics_sim
-from .capacity_limits import (
-    CapacityPoint,
-    c1_bpsk_dolinar,
-    hadamard_jdr_capacity,
-    rm_gm_jdr_capacity,
-    rm_mpe_capacity,
-)
+from .capacity_limits import CLOSED_FORMS, CapacityPoint, c1_bpsk_dolinar
 from .codes import two_symbol_code
 from .dmc import ConvergenceError, DiscreteChannel
 from .entropy import entropy_bits, xlog2
@@ -166,35 +160,27 @@ def two_symbol_ratio_curve(nbar_grid, receiver="structured"):
     return points
 
 
-_CLOSED_FORMS = {
-    "hadamard_jdr": hadamard_jdr_capacity,
-    "rm_gm": rm_gm_jdr_capacity,
-    "rm_mpe": rm_mpe_capacity,
-}
-
-
 def capacity_curves(family, m, nbar_grid, receiver="structured"):
     """Per-symbol capacity and PIE of one receiver family along an nbar grid."""
     nbar_grid = np.asarray(nbar_grid, dtype=float)
     if np.any(nbar_grid <= 0):
         raise ValueError("PIE curves need positive nbar")
-    points = []
     if family == "two_symbol":
+        points = []
         for nbar in nbar_grid:
             i2 = _two_symbol_i2(nbar, receiver)
             points.append(CapacityPoint(nbar=float(nbar), bits_per_symbol=i2,
                                         pie=i2 / nbar, label=f"two_symbol_{receiver}"))
         return points
     try:
-        cap = _CLOSED_FORMS[family]
+        cap = CLOSED_FORMS[family]
     except KeyError:
         raise ValueError(
-            f"unknown family {family!r}; choose from {sorted(_CLOSED_FORMS) + ['two_symbol']}"
+            f"unknown family {family!r}; choose from {sorted(CLOSED_FORMS) + ['two_symbol']}"
         )
     if m is None:
         raise ValueError(f"family {family!r} needs a code-size parameter m")
-    for nbar in nbar_grid:
-        bits = cap(m, nbar)
-        points.append(CapacityPoint(nbar=float(nbar), bits_per_symbol=bits,
-                                    pie=bits / nbar, label=f"{family}_m{m}"))
-    return points
+    bits = cap(m, nbar_grid)
+    return [CapacityPoint(nbar=float(nbar), bits_per_symbol=float(b), pie=float(pie),
+                          label=f"{family}_m{m}")
+            for nbar, b, pie in zip(nbar_grid, bits, bits / nbar_grid)]

@@ -2,9 +2,11 @@
 
 Everything here recomputes expected values along a different route from the
 package implementation (dense matrices, exhaustive enumeration, fixed-order
-quadrature, closed forms), so agreement is evidence rather than tautology.
+quadrature, closed forms, high-precision mpmath), so agreement is evidence
+rather than tautology.
 """
 
+import mpmath as mp
 import numpy as np
 from scipy.stats import binom
 
@@ -42,6 +44,58 @@ def gauss_legendre_f(b, order=200):
     x = a + (1.0 - a) * t * t
     vals = np.sqrt(np.clip(1.0 - (a / x) ** 4, 0.0, None)) * 2.0 * (1.0 - a) * t
     return 0.25 * float(np.sum(weights * vals))
+
+
+def f_mp(b, dps=40):
+    """f(b) in mpmath from its incomplete elliptic form, a = e^{-b}, phi = arccos a.
+
+    [sqrt(1 - a^4) - sqrt(2) a (2 E(phi|1/2) - F(phi|1/2))] / 2, evaluated at
+    ``dps`` digits so the small-b cancellation costs nothing; tied to the
+    integral definition by a direct mpmath quadrature in the tests.
+    """
+    with mp.workdps(dps):
+        a = mp.exp(-mp.mpf(b))
+        phi, half = mp.acos(a), mp.mpf(1) / 2
+        return (mp.sqrt(1 - a ** 4)
+                - mp.sqrt(2) * a * (2 * mp.ellipe(phi, half) - mp.ellipf(phi, half))) / 2
+
+
+def _xlog2_mp(x):
+    return x * mp.log(x, 2) if x > 0 else mp.mpf(0)
+
+
+def rm_gm_mp(m, nbar, dps=40):
+    """RM(1,m) Green Machine capacity in mpmath, from f_mp and explicit entropies."""
+    with mp.workdps(dps):
+        n_pulse = 2 ** m * mp.mpf(nbar)
+        p0 = mp.exp(-n_pulse)
+        f = f_mp(n_pulse, dps)
+        probs = ((1 - p0) / 2 + f, (1 - p0) / 2 - f, p0)
+        num = ((1 - p0) * (m + 1) - _xlog2_mp(p0) - _xlog2_mp(1 - p0)
+               + sum(_xlog2_mp(p) for p in probs))
+        return max(num, 0) / 2 ** m
+
+
+def rm_mpe_mp(m, nbar, dps=60):
+    """RM(1,m) minimum-error capacity: the paper's c^2 closed form at ``dps`` digits.
+
+    The discriminant gamma^2 - 4^m p0^2 is formed directly, not through the
+    (1-p0)^2 (gamma + 2^m p0) factorization the package uses, and c^2 never
+    underflows at this precision.
+    """
+    with mp.workdps(dps):
+        nbar = mp.mpf(nbar)
+        if nbar == 0:
+            return mp.mpf(0)
+        n, K = 2 ** m, 2 ** (m + 1)
+        p0 = mp.exp(-n * nbar)
+        gamma = 1 + 2 * p0 * (2 ** (m - 1) - 1) + p0 ** 2
+        c2 = (n * p0) ** 2 / (2 ** (2 * m + 1) * (gamma + mp.sqrt(gamma ** 2 - (n * p0) ** 2)))
+        sym = (p0 - c2 * (K - 4)) / (2 * mp.sqrt(c2))
+        anti = mp.sqrt((1 - p0) * (1 + p0))
+        num = ((m + 1) + _xlog2_mp(((sym + anti) / 2) ** 2) + _xlog2_mp(((sym - anti) / 2) ** 2)
+               + (K - 2) * _xlog2_mp(c2))
+        return max(num, 0) / n
 
 
 def bsc_capacity(q):

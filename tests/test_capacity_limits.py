@@ -1,3 +1,6 @@
+from functools import partial
+
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,12 +9,59 @@ from hypothesis import strategies as st
 from jdrcap import capacity_limits as cl
 from jdrcap.entropy import LN2
 
-from oracles import gauss_legendre_f
+from oracles import f_mp, gauss_legendre_f, rm_gm_mp, rm_mpe_mp
 
 # high-precision scalar recomputations (mpmath, 40 digits) frozen for the tests
 HOLEVO_BPSK_AT_0P1 = 0.43858456767415076
 F_AT_1 = 0.28114373604616659
 PAPER_NBAR_STAR = 2.6582e-3
+
+# f(b) check grid; b = 2^m nbar in [15.8, 25] is where adaptive quadrature
+# of the integral was off by up to 1.4e-8
+B_HARD = (15.8, 16.0, 17.0, 18.0, 20.0, 25.0)
+F_GRID = np.concatenate([np.geomspace(1e-8, 60.0, 400), B_HARD])
+
+# every closed form that takes an nbar array; m = 7 puts the rm_mpe
+# subnormal-c^2 band (2^m nbar ~ 354-372) and full underflow on the grid
+NBAR_POS = np.concatenate([np.geomspace(1e-7, 30.0, 80), [2.894]])
+NBAR_ALL = np.concatenate([[0.0], NBAR_POS])
+ARRAY_CLOSED_FORMS = pytest.mark.parametrize("fn,grid", [
+    pytest.param(fn, grid, id=getattr(fn, "func", fn).__name__) for fn, grid in [
+        (cl.g, NBAR_ALL),
+        (cl.pie_ultimate, NBAR_POS),
+        (cl.holevo_bpsk, NBAR_ALL),
+        (cl.dolinar_error_q, NBAR_ALL),
+        (cl.c1_bpsk_dolinar, NBAR_ALL),
+        (cl.f_integral, NBAR_ALL),
+        (partial(cl.hadamard_jdr_capacity, 7), NBAR_ALL),
+        (partial(cl.rm_gm_outcome_probs, 7), NBAR_ALL),
+        (partial(cl.rm_gm_jdr_capacity, 7), NBAR_ALL),
+        (partial(cl.rm_mpe_capacity, 7), NBAR_ALL),
+        (partial(cl.pie_envelope, family="rm_gm", m_range=range(1, 11)), NBAR_POS),
+    ]])
+
+
+class TestArrayValued:
+    @ARRAY_CLOSED_FORMS
+    def test_array_matches_scalar_calls_bitwise(self, fn, grid):
+        per_point = [fn(x) for x in grid]
+        whole = fn(grid)
+        if isinstance(whole, tuple):
+            for k, column in enumerate(whole):
+                assert column.shape == grid.shape
+                assert np.array_equal(column, [p[k] for p in per_point])
+                assert all(type(p[k]) in (float, int) for p in per_point)
+        else:
+            assert whole.shape == grid.shape
+            assert np.array_equal(whole, per_point)
+            assert all(type(p) is float for p in per_point)
+
+    @ARRAY_CLOSED_FORMS
+    def test_rejects_nan(self, fn, grid):
+        with pytest.raises(ValueError):
+            fn(np.nan)
+        with pytest.raises(ValueError):
+            fn(np.array([0.1, np.nan, 1.0]))
 
 
 class TestG:
@@ -72,6 +122,11 @@ class TestNbarForPie:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             cl.nbar_for_pie(0.0)
+
+    @pytest.mark.parametrize("pie", [np.nan, np.inf])
+    def test_rejects_nan_and_inf(self, pie):
+        with pytest.raises(ValueError):
+            cl.nbar_for_pie(pie)
 
 
 class TestHolevoBpsk:
@@ -154,6 +209,28 @@ class TestFIntegral:
         with pytest.raises(ValueError):
             cl.f_integral(-0.5)
 
+    def test_matches_mpmath_on_grid(self):
+        ref = np.array([float(f_mp(b)) for b in F_GRID])
+        err = np.abs(cl.f_integral(F_GRID) - ref)
+        assert np.all(err <= 1e-15)
+        assert np.all(err <= 1e-10 * ref)
+
+    @pytest.mark.parametrize("b", [1e-8, 1e-3, 0.5, 17.0, 60.0])
+    def test_elliptic_oracle_is_the_integral(self, b):
+        with mp.workdps(40):
+            a = mp.exp(-mp.mpf(b))
+            direct = mp.quad(lambda x: mp.sqrt(1 - (a / x) ** 4), [a, 1]) / 2
+            assert abs(direct - f_mp(b)) <= mp.mpf("1e-25") * direct
+
+    def test_series_coefficients_pinned(self):
+        # Taylor coefficients of f(b) / b^{3/2}, by numerical differentiation in
+        # mpmath just above b = 0, where the elliptic form is 0/0; f_mp runs at
+        # the raised precision mp.taylor works in
+        with mp.workdps(80):
+            taylor = mp.taylor(lambda b: f_mp(b, mp.mp.dps) / b ** mp.mpf(1.5),
+                               mp.mpf(10) ** -30, len(cl._F_SERIES) - 1, direction=1)
+        assert cl._F_SERIES == pytest.approx([float(c) for c in taylor], rel=1e-15)
+
 
 class TestHadamardJdrCapacity:
     def test_zero_photons(self):
@@ -183,8 +260,20 @@ class TestRmGmJdrCapacity:
                 assert p_plus + p_minus + p0 == pytest.approx(1.0, abs=1e-12)
                 assert p_minus >= 0.0
 
+    @pytest.mark.parametrize("m", [1, 3, 8, 10])
+    def test_matches_mpmath_where_quadrature_failed(self, m):
+        for b in B_HARD:
+            nbar = b / 2 ** m
+            assert cl.rm_gm_jdr_capacity(m, nbar) == pytest.approx(
+                float(rm_gm_mp(m, nbar)), abs=1e-12)
+
 
 class TestRmMpeCapacity:
+    @pytest.mark.parametrize("m,nbar", [(7, 2.894), (8, 1.438), (9, 0.724), (10, 0.3576)])
+    def test_subnormal_c2_matches_mpmath(self, m, nbar):
+        # c^2 is a subnormal double here; it used to be taken as exact
+        assert cl.rm_mpe_capacity(m, nbar) == pytest.approx(float(rm_mpe_mp(m, nbar)), abs=1e-12)
+
     def test_large_nbar_limit(self):
         for m in (1, 2, 3, 4):
             assert cl.rm_mpe_capacity(m, 30.0) == pytest.approx(
@@ -211,10 +300,10 @@ class TestRmMpeCapacity:
 
 class TestPieEnvelope:
     def test_matches_exhaustive_scan(self):
-        for family in ("hadamard", "rm_gm"):
+        for family, cap in (("hadamard", cl.hadamard_jdr_capacity),
+                            ("rm_gm", cl.rm_gm_jdr_capacity)):
             for nbar in (1e-5, 1e-3, 0.1, 1.0, 5.0):
                 m_star, pie = cl.pie_envelope(nbar, family, range(1, 11))
-                cap = cl._ENVELOPE_FAMILIES[family]
                 brute = max((cap(m, nbar) / nbar, -m) for m in range(1, 11))
                 assert pie == brute[0]
                 assert m_star == -brute[1]

@@ -58,7 +58,7 @@ class TestLimits:
             cli.main(["limits", "--families", "bogus"])
         assert excinfo.value.code == 2
 
-    @pytest.mark.parametrize("argv", [["--nbar-min", "nan"], ["--m-max", "0"]])
+    @pytest.mark.parametrize("argv", [["--nbar-min", "nan"], ["--m-max", "0"], ["--m-max", "11"]])
     def test_bad_input_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["limits"] + argv)
@@ -137,6 +137,12 @@ class TestSuperchannel:
     def test_unknown_family_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["superchannel", "--family", "turbo", "--m", "3"])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("family", ["hadamard_jdr", "rm_gm", "rm_mpe"])
+    def test_m_out_of_range_usage_error(self, capsys, family):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["superchannel", "--family", family, "--m", "11"])
         assert excinfo.value.code == 2
 
 

@@ -28,6 +28,21 @@ def test_binary_entropy_range_and_symmetry(q):
     assert h == pytest.approx(binary_entropy(1.0 - q), abs=1e-12)
 
 
+def test_binary_entropy_array_matches_scalar_calls_bitwise():
+    grid = np.concatenate([[0.0, 1.0], np.geomspace(1e-300, 1.0, 120),
+                           1.0 - np.geomspace(1e-16, 0.5, 40)])
+    whole = binary_entropy(grid)
+    per_point = [binary_entropy(q) for q in grid]
+    assert all(type(h) is float for h in per_point)
+    assert np.array_equal(whole, per_point)
+
+
+@pytest.mark.parametrize("q", [np.nan, -1e-300, np.array([0.5, np.nan])])
+def test_binary_entropy_rejects_outside_unit_interval(q):
+    with pytest.raises(ValueError):
+        binary_entropy(q)
+
+
 def test_binary_entropy_known_values():
     assert binary_entropy(0.5) == pytest.approx(1.0, abs=1e-15)
     assert binary_entropy(0.0) == 0.0
