@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity_limits import dolinar_error_q
+from .capacity_limits import _photons, dolinar_error_q
 from .codes import hadamard_code, ml_decode_hard
 
 _CHUNK = 50000
@@ -88,8 +88,7 @@ def hadamard_jdr_ber(m, nbar):
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    if nbar < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {nbar}")
+    nbar = _photons(nbar)
     K = 2 ** m
     idx = np.arange(K)
     pair_popcounts = np.bitwise_count(idx[:, None] ^ idx[None, :])

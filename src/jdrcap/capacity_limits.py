@@ -58,16 +58,19 @@ def _float_or_array(x):
 def g(nbar):
     """Holevo capacity of a lossless bosonic mode, (1+n)log2(1+n) - n log2(n) bits.
 
-    g(0) = 0 by the x log x -> 0 convention.
+    g(0) = 0 by the x log x -> 0 convention, and g(inf) = inf.
     """
     nbar = _photons(nbar)
-    return _float_or_array((1.0 + nbar) * np.log1p(nbar) / LN2 - xlog2(nbar))
+    big = np.isinf(nbar)
+    n = np.where(big, 0.0, nbar)    # keeps inf - inf out of the formula
+    return _float_or_array(np.where(big, np.inf, (1.0 + n) * np.log1p(n) / LN2 - xlog2(n)))
 
 
 def pie_ultimate(nbar):
-    """Ultimate photon information efficiency g(nbar)/nbar, bits per photon."""
+    """Ultimate photon information efficiency g(nbar)/nbar, bits per photon; 0 at inf."""
     nbar = _photons(nbar, strict=True)
-    return _float_or_array(g(nbar) / nbar)
+    big = np.isinf(nbar)
+    return _float_or_array(np.where(big, 0.0, g(nbar) / np.where(big, 1.0, nbar)))
 
 
 def nbar_for_pie(target_pie, rel_tol=1e-9):

@@ -10,6 +10,7 @@ convergence failure.
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -67,6 +68,14 @@ def _log_grid(args):
     if not 0 < args.nbar_min < args.nbar_max < np.inf or args.points < 2:
         raise SystemExit2("need 0 < nbar-min < nbar-max < inf and points >= 2")
     return np.geomspace(args.nbar_min, args.nbar_max, args.points)
+
+
+def _finite_float(text):
+    """argparse type of every float option: NaN and +-inf are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"need a finite number, got {text!r}")
+    return value
 
 
 class SystemExit2(SystemExit):
@@ -135,19 +144,16 @@ def cmd_superchannel(args):
     if args.family != "two_symbol" and args.m is None:
         raise SystemExit2(f"family {args.family} requires --m")
     try:
-        points = superchannel.capacity_curves(args.family, args.m, grid,
-                                              receiver=args.receiver)
+        if args.family == "two_symbol":
+            header = ["nbar", "bits_per_symbol", "pie", "c1", "ratio"]
+            rows = [[pt.nbar, pt.i2, pt.i2 / pt.nbar, pt.c1, pt.ratio]
+                    for pt in superchannel.two_symbol_ratio_curve(grid, args.receiver)]
+        else:
+            header = ["nbar", "bits_per_symbol", "pie"]
+            rows = [[pt.nbar, pt.bits_per_symbol, pt.pie]
+                    for pt in superchannel.capacity_curves(args.family, args.m, grid)]
     except ValueError as exc:
         raise SystemExit2(str(exc))
-    if args.family == "two_symbol":
-        header = ["nbar", "bits_per_symbol", "pie", "c1", "ratio"]
-        rows = []
-        for pt in points:
-            c1 = capacity_limits.c1_bpsk_dolinar(pt.nbar)
-            rows.append([pt.nbar, pt.bits_per_symbol, pt.pie, c1, pt.bits_per_symbol / c1])
-    else:
-        header = ["nbar", "bits_per_symbol", "pie"]
-        rows = [[pt.nbar, pt.bits_per_symbol, pt.pie] for pt in points]
     params = {"family": args.family, "m": args.m, "receiver": args.receiver,
               "nbar_min": args.nbar_min, "nbar_max": args.nbar_max, "points": args.points}
     return _emit(payload=_csv(header, rows), manifest_params=params,
@@ -188,9 +194,10 @@ def cmd_link(args):
         toks = spec.split(",")
         if len(toks) == 1:
             toks = toks * 2
-        if len(toks) != 2:
-            raise SystemExit2(f"bad {what} {spec!r}; give one value or tx,rx")
-        return float(toks[0]), float(toks[1])
+        values = tuple(float(tok) for tok in toks)
+        if len(values) != 2 or not all(map(math.isfinite, values)):
+            raise SystemExit2(f"bad {what} {spec!r}; give one finite value or tx,rx")
+        return values
     if not (args.pie > 0 and args.se > 0):
         raise SystemExit2("need --pie > 0 and --se > 0")
     try:
@@ -235,8 +242,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_nbar_grid(p, lo, hi, points):
-        p.add_argument("--nbar-min", type=float, default=lo)
-        p.add_argument("--nbar-max", type=float, default=hi)
+        p.add_argument("--nbar-min", type=_finite_float, default=lo)
+        p.add_argument("--nbar-max", type=_finite_float, default=hi)
         p.add_argument("--points", type=int, default=points)
 
     p = sub.add_parser("limits", help="PIE of the capacity families on a log nbar grid")
@@ -249,8 +256,8 @@ def build_parser():
 
     p = sub.add_parser("tradeoff", help="PIE versus spectral efficiency per mode count")
     p.add_argument("--modes-list", default="1,2,10,100,189")
-    p.add_argument("--nr-min", type=float, default=1e-3)
-    p.add_argument("--nr-max", type=float, default=10.0)
+    p.add_argument("--nr-min", type=_finite_float, default=1e-3)
+    p.add_argument("--nr-max", type=_finite_float, default=10.0)
     p.add_argument("--points", type=int, default=200)
     p.add_argument("--out", default=None)
     p.set_defaults(run=cmd_tradeoff)
@@ -273,13 +280,13 @@ def build_parser():
     p.set_defaults(run=cmd_ber)
 
     p = sub.add_parser("link", help="free-space link example report")
-    p.add_argument("--wavelength", type=float, required=True)
-    p.add_argument("--range", type=float, required=True)
+    p.add_argument("--wavelength", type=_finite_float, required=True)
+    p.add_argument("--range", type=_finite_float, required=True)
     p.add_argument("--radii", default=None, help="aperture radius in m, or tx,rx")
     p.add_argument("--areas", default=None, help="aperture area in m^2, or tx,rx")
-    p.add_argument("--slot-rate", type=float, required=True)
-    p.add_argument("--pie", type=float, required=True)
-    p.add_argument("--se", type=float, required=True)
+    p.add_argument("--slot-rate", type=_finite_float, required=True)
+    p.add_argument("--pie", type=_finite_float, required=True)
+    p.add_argument("--se", type=_finite_float, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(run=cmd_link)
     return parser

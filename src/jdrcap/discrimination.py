@@ -1,16 +1,25 @@
 """Hilbert-space-free pure-state discrimination.
 
-A codebook of coherent-state codewords is represented by its Gram matrix of
-inner products and a prior vector; every measurement here is expressed in
+A codebook of coherent-state codewords is represented by its Gram matrix G
+of inner products and a prior vector; every measurement here is expressed in
 the K-dimensional span of the codewords, so no exponential state space is
-ever formed. Provides the square-root measurement (SRM), the binary
-Helstrom bound, and an iterative minimum-probability-of-error (MPE) solver.
+ever formed. One kernel does the linear algebra: the weighted square-root
+measurement (SRM) with weights w, whose channel is
+
+    P(j|i) = (What^{1/2})_ij^2 / w_i,   What = D G D,  D = diag(sqrt w)
+
+(Eldar & Forney, IEEE Trans. Inf. Theory 47, 2001). The SRM is that kernel
+at w = priors; the minimum-probability-of-error (MPE) measurement is the
+weighted SRM at the weights that solve its optimality conditions (Mochon,
+Phys. Rev. A 73, 032328, 2006), found by fixed-point iteration. The binary
+Helstrom bound is the closed-form reference.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .capacity_limits import _photons
 from .dmc import ConvergenceError, DiscreteChannel
 
 EIG_CLAMP_REL = 1e-10
@@ -23,7 +32,11 @@ class NotPSDError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class PureStateEnsemble:
-    """Gram matrix of codeword inner products plus prior probabilities."""
+    """Gram matrix of codeword inner products plus prior probabilities.
+
+    The Gram matrix is validated and symmetrised here, once, so the solvers
+    below work on it without checking it again.
+    """
 
     gram: np.ndarray = field(repr=False)
     priors: np.ndarray
@@ -41,10 +54,10 @@ class PureStateEnsemble:
             raise ValueError("Gram matrix must have unit diagonal")
         if np.any(p < 0) or abs(p.sum() - 1.0) > PRIOR_SUM_TOL:
             raise ValueError("priors must be nonnegative and sum to 1")
-        lam_min = float(np.linalg.eigvalsh(G)[0])
-        if lam_min < -EIG_CLAMP_REL * max(1.0, float(np.linalg.norm(G, 2))):
-            raise NotPSDError(f"Gram matrix has eigenvalue {lam_min}")
         G = 0.5 * (G + G.T)
+        lam = np.linalg.eigvalsh(G)
+        if lam[0] < -EIG_CLAMP_REL * max(1.0, float(np.max(np.abs(lam)))):
+            raise NotPSDError(f"Gram matrix has eigenvalue {lam[0]}")
         G.setflags(write=False)
         p = p.copy()
         p.setflags(write=False)
@@ -72,8 +85,7 @@ def gram_from_code(code, nbar):
     Two codewords at Hamming distance h have overlap e^{-2 nbar h}, the
     product of the per-symbol overlaps <alpha|-alpha> = e^{-2 nbar}.
     """
-    if nbar < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {nbar}")
+    nbar = _photons(nbar)
     cw = code.codewords
     dist = np.count_nonzero(cw[:, None, :] != cw[None, :, :], axis=2)
     G = np.exp(-2.0 * nbar * dist)
@@ -82,14 +94,12 @@ def gram_from_code(code, nbar):
 
 
 def sqrtm_psd(M):
-    """Symmetric PSD square root via eigendecomposition.
+    """Square root of a symmetric PSD matrix via eigendecomposition.
 
+    Only the lower triangle of M is read, so M must already be symmetric.
     Eigenvalues in [-tol, 0) are clamped to zero, where tol is 1e-10
     relative to the largest eigenvalue; anything lower raises NotPSDError.
     """
-    M = np.asarray(M, dtype=float)
-    if not np.allclose(M, M.T, atol=1e-10):
-        raise ValueError("matrix must be symmetric")
     lam, U = np.linalg.eigh(M)
     tol = EIG_CLAMP_REL * max(1.0, float(lam[-1]))
     if lam[0] < -tol:
@@ -98,12 +108,28 @@ def sqrtm_psd(M):
     return (U * np.sqrt(lam)) @ U.T
 
 
+def _srm_rows(gram, w):
+    """Channel rows (What^{1/2})_ij^2 / w_i of the SRM weighted by w >= 0.
+
+    Row i sums to What_ii / w_i = 1 up to round-off. Zero-weight rows are
+    uniform by convention (they carry no weight in any mutual information).
+    """
+    d = np.sqrt(w)
+    root = sqrtm_psd(d[:, None] * gram * d)
+    rows = np.full(root.shape, 1.0 / len(w))
+    live = w > 0
+    rows[live] = root[live] ** 2 / w[live, None]
+    return rows
+
+
 def _stochastic_rows(rows, tol=1e-8):
     """Remove eigendecomposition round-off; reject genuine stochasticity defects.
 
-    Heavily skewed priors make the weighted-state operator ill conditioned
-    (kappa ~ 1/min(p)^2), which shows up as ~1e-10 row-sum round-off; real
-    completeness bugs are orders of magnitude larger than this tolerance.
+    Row i of the weighted SRM carries an absolute error of about eps times
+    the largest eigenvalue of D G D, divided by w_i; heavily skewed weights
+    (p_i^2 t_i in the MPE iteration) therefore show up as ~1e-10 row-sum
+    round-off. Real completeness bugs are orders of magnitude larger than
+    this tolerance.
     """
     rows = np.clip(rows, 0.0, None)
     sums = rows.sum(axis=1, keepdims=True)
@@ -113,25 +139,19 @@ def _stochastic_rows(rows, tol=1e-8):
     return rows / sums
 
 
-def srm_channel(ensemble):
-    """Transition matrix of the square-root measurement.
-
-    With Ghat_ij = sqrt(p_i p_j) G_ij, the SRM gives
-    P(j|i) = (Ghat^{1/2})_ij^2 / p_i. Zero-prior rows are uniform by
-    convention (they carry no weight in any mutual information).
-    """
-    p = ensemble.priors
-    sp = np.sqrt(p)
-    S = sqrtm_psd(sp[:, None] * ensemble.gram * sp[None, :])
-    K = ensemble.size
-    rows = np.empty((K, K))
-    for i in range(K):
-        if p[i] > 0:
-            rows[i] = S[i] ** 2 / p[i]
-        else:
-            rows[i] = 1.0 / K
-    labels = tuple(f"s{i}" for i in range(K))
+def _channel(rows):
+    """The K-state DiscreteChannel of raw measurement rows."""
+    labels = tuple(f"s{i}" for i in range(len(rows)))
     return DiscreteChannel(inputs=labels, outputs=labels, p=_stochastic_rows(rows))
+
+
+def srm_channel(ensemble):
+    """Transition matrix of the square-root measurement, the weighted SRM at w = p.
+
+    With Ghat_ij = sqrt(p_i p_j) G_ij, P(j|i) = (Ghat^{1/2})_ij^2 / p_i;
+    zero-prior rows are uniform.
+    """
+    return _channel(_srm_rows(ensemble.gram, ensemble.priors))
 
 
 def helstrom_binary(overlap_sq, p1, p2):
@@ -143,86 +163,42 @@ def helstrom_binary(overlap_sq, p1, p2):
     return 0.5 * (1.0 - np.sqrt(1.0 - 4.0 * p1 * p2 * overlap_sq))
 
 
-def _state_coords(G):
-    """Factor G = R^T R; columns of R are state coordinates in the span."""
-    lam, U = np.linalg.eigh(G)
-    lam = np.clip(lam, 0.0, None)
-    keep = lam > 4.0 * np.finfo(float).eps * max(lam[-1], 1e-300) * len(lam)
-    return (U[:, keep] * np.sqrt(lam[keep])).T
-
-
-def _inv_sqrt_psd(M):
-    """Pseudo-inverse square root on the support of a PSD matrix."""
-    lam, U = np.linalg.eigh(M)
-    lam = np.clip(lam, 0.0, None)
-    inv = np.zeros_like(lam)
-    pos = lam > 4.0 * np.finfo(float).eps * max(lam[-1], 1e-300) * len(lam)
-    inv[pos] = 1.0 / np.sqrt(lam[pos])
-    return (U * inv) @ U.T
-
-
-def _measurement_channel(R, Mu, priors):
-    """Channel P(j|i) = <psi_i, mu_j>^2 with uniform rows for zero priors."""
-    A = R.T @ Mu
-    rows = A ** 2
-    K = rows.shape[0]
-    for i in range(K):
-        if priors[i] == 0:
-            rows[i] = 1.0 / K
-    labels = tuple(f"s{i}" for i in range(K))
-    return DiscreteChannel(inputs=labels, outputs=labels, p=_stochastic_rows(rows))
-
-
 def mpe_solve(ensemble, tol=1e-12, max_iter=10000):
-    """Minimum-probability-of-error measurement by fixed-point iteration.
+    """Minimum-probability-of-error measurement as an iterated weighted SRM.
 
-    Seeded with the SRM, each step rebuilds the rank-one measurement vectors
-    from the optimality conditions for minimum-error discrimination,
-    expressed entirely in the span of the codewords:
+    Every minimum-error measurement of pure states is the SRM at some
+    weights w. Seeded with the SRM (w = p), each step sets the weights from
+    the optimality conditions,
 
-        mu_i <- S^{-1/2} p_i sqrt(t_i) psi_i,   S = sum_i p_i^2 t_i psi_i psi_i^T
+        w_i <- p_i^2 t_i,
 
-    with t_i the current success amplitude squared of state i. The success
-    probability is nondecreasing; iteration stops when the improvement drops
-    below ``tol``, returning the best iterate. Geometrically uniform
+    with t_i = P(i|i) the current success probability of state i; in the
+    span of the codewords this is the update mu_i <- S^{-1/2} p_i sqrt(t_i)
+    psi_i with S = sum_i p_i^2 t_i psi_i psi_i^T. The success probability
+    sum_i p_i t_i is nondecreasing; iteration stops when the improvement
+    drops below ``tol``, returning the best iterate. Geometrically uniform
     ensembles with equal priors stop immediately: the SRM is already the
     fixed point.
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    p = ensemble.priors
-    R = _state_coords(ensemble.gram)
-    W = _inv_sqrt_psd((R * p) @ R.T)
-    Mu = (W @ R) * np.sqrt(p)
-
-    def success_of(Mu):
-        t = np.einsum("ri,ri->i", R, Mu) ** 2
-        return float(np.sum(p * t)), t
-
-    best_success, t = success_of(Mu)
-    best_mu = Mu
+    G, p = ensemble.gram, ensemble.priors
+    rows = best_rows = _srm_rows(G, p)
+    best_success = float(p @ rows.diagonal())
     trace = [best_success]
-    for it in range(1, max_iter + 1):
-        W = _inv_sqrt_psd((R * (p * p * t)) @ R.T)
-        Mu = (W @ R) * (p * np.sqrt(t))
-        success, t = success_of(Mu)
-        improvement = success - best_success
+    it, converged = 0, False
+    while not converged and it < max_iter:
+        it += 1
+        rows = _srm_rows(G, p * p * rows.diagonal())
+        success = float(p @ rows.diagonal())
+        converged = success - best_success < tol
         if success >= best_success:
-            best_success, best_mu = success, Mu
+            best_success, best_rows = success, rows
             trace.append(success)
-        if improvement < tol:
-            return MpeResult(
-                success_probability=best_success,
-                channel=_measurement_channel(R, best_mu, p),
-                iterations=it,
-                success_trace=tuple(trace),
-            )
-    best = MpeResult(
-        success_probability=best_success,
-        channel=_measurement_channel(R, best_mu, p),
-        iterations=max_iter,
-        success_trace=tuple(trace),
-    )
-    raise ConvergenceError(
-        f"MPE iteration did not reach tol={tol} in {max_iter} steps", best=best
-    )
+    best = MpeResult(success_probability=best_success, channel=_channel(best_rows),
+                     iterations=it, success_trace=tuple(trace))
+    if not converged:
+        raise ConvergenceError(
+            f"MPE iteration did not reach tol={tol} in {max_iter} steps", best=best
+        )
+    return best

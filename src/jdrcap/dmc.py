@@ -41,10 +41,11 @@ class DiscreteChannel:
                 f"transition matrix shape {p.shape} does not match "
                 f"{len(self.inputs)} inputs x {len(self.outputs)} outputs"
             )
-        if np.any(p < NEG_ENTRY_TOL):
-            raise ValueError("negative transition probability")
+        # written so that a NaN entry fails both checks
+        if not np.all(p >= NEG_ENTRY_TOL):
+            raise ValueError("negative or NaN transition probability")
         rows = p.sum(axis=1)
-        if np.any(np.abs(rows - 1.0) > ROW_SUM_TOL):
+        if not np.all(np.abs(rows - 1.0) <= ROW_SUM_TOL):
             worst = float(np.max(np.abs(rows - 1.0)))
             raise ValueError(f"rows must sum to 1 within {ROW_SUM_TOL}, worst off by {worst}")
         p = np.clip(p, 0.0, None)

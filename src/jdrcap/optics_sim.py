@@ -13,7 +13,7 @@ here are real so no generality is lost.
 
 import numpy as np
 
-from .capacity_limits import dolinar_error_q, rm_gm_outcome_probs
+from .capacity_limits import _photons, dolinar_error_q, rm_gm_outcome_probs
 from .codes import fwht, hadamard_code, rm1_code, two_symbol_code
 from .dmc import DiscreteChannel
 
@@ -69,8 +69,7 @@ def two_symbol_receiver_channel(nbar):
     energy 2 nbar) the difference port. 3 inputs x 4 outputs
     (SPD click/no-click x DR +/-).
     """
-    if nbar < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {nbar}")
+    nbar = _photons(nbar)
     code = two_symbol_code()
     alpha = np.sqrt(nbar)
     rows = []
@@ -112,8 +111,7 @@ def hadamard_jdr_channel(m, nbar):
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    if nbar < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {nbar}")
+    nbar = _photons(nbar)
     code = hadamard_code(m, with_ancilla=True)
     K = code.size
     out = green_machine(code.amplitudes(np.sqrt(nbar)))

@@ -166,12 +166,9 @@ def capacity_curves(family, m, nbar_grid, receiver="structured"):
     if np.any(nbar_grid <= 0):
         raise ValueError("PIE curves need positive nbar")
     if family == "two_symbol":
-        points = []
-        for nbar in nbar_grid:
-            i2 = _two_symbol_i2(nbar, receiver)
-            points.append(CapacityPoint(nbar=float(nbar), bits_per_symbol=i2,
-                                        pie=i2 / nbar, label=f"two_symbol_{receiver}"))
-        return points
+        return [CapacityPoint(nbar=pt.nbar, bits_per_symbol=pt.i2, pie=pt.i2 / pt.nbar,
+                              label=f"two_symbol_{receiver}")
+                for pt in two_symbol_ratio_curve(nbar_grid, receiver)]
     try:
         cap = CLOSED_FORMS[family]
     except KeyError:

@@ -62,6 +62,10 @@ class TestHadamardJdrBer:
         pt = ber_sim.hadamard_jdr_ber(4, 0.0)
         assert pt.ber == pytest.approx(0.5, abs=1e-15)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="photon number"):
+            ber_sim.hadamard_jdr_ber(3, np.nan)
+
     def test_analytic_form(self):
         for m, nbar in ((3, 0.01), (8, 0.02)):
             expected = 0.5 * np.exp(-(2 ** m) * nbar)

@@ -79,6 +79,10 @@ class TestG:
         with pytest.raises(ValueError):
             cl.g(-1e-9)
 
+    def test_infinity(self):
+        assert cl.g(np.inf) == np.inf
+        assert list(cl.g(np.array([1.0, np.inf]))) == [cl.g(1.0), np.inf]
+
 
 class TestPieUltimate:
     def test_anchors(self):
@@ -95,6 +99,10 @@ class TestPieUltimate:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             cl.pie_ultimate(0.0)
+
+    def test_infinity(self):
+        assert cl.pie_ultimate(np.inf) == 0.0
+        assert list(cl.pie_ultimate(np.array([1.0, np.inf]))) == [cl.pie_ultimate(1.0), 0.0]
 
 
 class TestNbarForPie:

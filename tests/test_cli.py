@@ -139,6 +139,14 @@ class TestSuperchannel:
             cli.main(["superchannel", "--family", "turbo", "--m", "3"])
         assert excinfo.value.code == 2
 
+    def test_two_symbol_mpe_at_default_nbar_min(self, capsys):
+        code, out, _ = run(capsys, ["superchannel", "--family", "two_symbol",
+                                    "--receiver", "mpe", "--nbar-min", "1e-6",
+                                    "--nbar-max", "1e-5", "--points", "3"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows.shape == (3, 5) and np.all(np.isfinite(rows))
+
     @pytest.mark.parametrize("family", ["hadamard_jdr", "rm_gm", "rm_mpe"])
     def test_m_out_of_range_usage_error(self, capsys, family):
         with pytest.raises(SystemExit) as excinfo:
@@ -224,6 +232,16 @@ class TestLink:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(self.ARGS[:-4] + ["--pie", pie, "--se", "5"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("flag,value", [("--wavelength", "nan"), ("--se", "inf"),
+                                            ("--range", "inf"), ("--radii", "nan")])
+    def test_non_finite_usage_error(self, capsys, flag, value):
+        argv = list(self.ARGS)
+        argv[argv.index(flag) + 1] = value
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestDeterminism:

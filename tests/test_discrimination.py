@@ -39,6 +39,10 @@ class TestGramFromCode:
         ens = disc.gram_from_code(two_symbol_code(), 500.0)
         assert np.allclose(ens.gram, np.eye(3), atol=1e-12)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="photon number"):
+            disc.gram_from_code(two_symbol_code(), np.nan)
+
     def test_relabeling_invariance(self):
         # any distance-preserving permutation permutes the Gram matrix with it
         code = hadamard_code(3)
@@ -157,6 +161,23 @@ class TestMpeSolve:
     def test_channels_row_stochastic(self):
         result = disc.mpe_solve(disc.gram_from_code(two_symbol_code(), 0.05))
         assert np.allclose(result.channel.p.sum(axis=1), 1.0, atol=1e-10)
+
+    @pytest.mark.parametrize("nbar", [1e-6, 3e-6, 1e-3])
+    def test_rows_sum_to_one_as_states_merge(self, monkeypatch, nbar):
+        # the rows before renormalisation, over the two-symbol prior scan grid
+        sums = []
+        normalise = disc._stochastic_rows
+
+        def record(rows, tol=1e-8):
+            sums.append(rows.sum(axis=1))
+            return normalise(rows, tol)
+
+        monkeypatch.setattr(disc, "_stochastic_rows", record)
+        gram = disc.gram_from_code(two_symbol_code(), nbar).gram
+        for p in np.linspace(0.0, 0.5, 33):
+            disc.mpe_solve(disc.PureStateEnsemble(gram=gram, priors=np.array([1 - 2 * p, p, p])))
+        assert len(sums) == 33
+        assert np.max(np.abs(np.array(sums) - 1.0)) < 1e-10
 
     def test_max_iter_exhaustion_reports_best(self):
         from jdrcap.dmc import ConvergenceError

@@ -146,6 +146,10 @@ class TestHadamardJdrChannel:
             mi = mutual_information(ch, uniform) / 2 ** m
             assert mi == pytest.approx(hadamard_jdr_capacity(m, nbar), abs=1e-12)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="photon number"):
+            opt.hadamard_jdr_channel(3, np.nan)
+
     def test_all_erasure_at_zero(self):
         ch = opt.hadamard_jdr_channel(3, 0.0)
         assert np.allclose(ch.p[:, -1], 1.0)

@@ -146,6 +146,11 @@ class TestTwoSymbolRatioCurve:
         with pytest.raises(ValueError):
             sc.two_symbol_ratio_curve([])
 
+    def test_mpe_where_the_states_nearly_merge(self):
+        nbar = 1e-6
+        i2 = sc._two_symbol_i2(nbar, "mpe")
+        assert 0.0 < i2 <= holevo_bpsk(nbar)
+
 
 class TestCapacityCurves:
     def test_hadamard_points_match_closed_form(self):
@@ -187,6 +192,11 @@ class TestChannelValidation:
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
             DiscreteChannel(("a",), ("x", "y"), np.array([[1.1, -0.1]]))
+
+    @pytest.mark.parametrize("p", [[[np.nan, 1.0]], [[0.5, 0.5], [np.nan, np.nan]]])
+    def test_rejects_nan_entries(self, p):
+        with pytest.raises(ValueError):
+            DiscreteChannel(tuple("ab")[: len(p)], ("x", "y"), np.array(p))
 
     def test_erasure_is_first_class(self):
         ch = bec(0.25)
