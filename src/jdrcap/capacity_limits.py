@@ -251,12 +251,14 @@ def tradeoff_curve(modes, n_r_grid):
     """Ultimate PIE/spectral-efficiency tradeoff for M parallel modes.
 
     SE = M g(N_R / M) bits/sec/Hz and PIE = SE / N_R at each total received
-    photon number N_R in the grid.
+    photon number N_R in the grid; at an infinite budget PIE is its limit 0.
     """
     if modes < 1:
         raise ValueError(f"need at least one mode, got {modes}")
     n_r = _photons(n_r_grid, strict=True)
     se = modes * g(n_r / modes)
+    big = np.isinf(n_r)
+    pie = np.where(big, 0.0, se / np.where(big, 1.0, n_r))
     return [TradeoffPoint(spectral_efficiency=float(s), pie=float(p), n_r=float(r),
                           modes=int(modes))
-            for s, p, r in zip(se, se / n_r, n_r)]
+            for s, p, r in zip(se, pie, n_r)]

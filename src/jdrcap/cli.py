@@ -4,7 +4,8 @@ Every subcommand writes CSV (or JSON for ``link``) with a reproducibility
 manifest: the subcommand, its parameters, any seed, the tool version, and a
 checksum of the emitted bytes. Reruns with an identical manifest produce
 byte-identical output. Exit codes: 0 success, 2 usage error, 3 numerical
-convergence failure.
+failure (a solver that did not converge, or an ArithmeticError such as a
+failed consistency or row-sum check).
 """
 
 import argparse
@@ -299,6 +300,9 @@ def main(argv=None):
         return args.run(args)
     except ConvergenceError as exc:
         sys.stderr.write(f"convergence failure: {exc}\n")
+        return 3
+    except ArithmeticError as exc:
+        sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
 
 

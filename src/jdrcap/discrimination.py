@@ -11,16 +11,19 @@ measurement (SRM) with weights w, whose channel is
 (Eldar & Forney, IEEE Trans. Inf. Theory 47, 2001). The SRM is that kernel
 at w = priors; the minimum-probability-of-error (MPE) measurement is the
 weighted SRM at the weights that solve its optimality conditions (Mochon,
-Phys. Rev. A 73, 032328, 2006), found by fixed-point iteration. The binary
-Helstrom bound is the closed-form reference.
+Phys. Rev. A 73, 032328, 2006), found by fixed-point iteration. The kernel
+and the iteration both work on stacks of B ensembles, one eigendecomposition
+call per step for the whole stack; ``mpe_solve`` is the stacked solve at
+B = 1. The binary Helstrom bound is the closed-form reference.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .capacity_limits import _photons
-from .dmc import ConvergenceError, DiscreteChannel
+from .dmc import ConvergenceError, DiscreteChannel, check_rows
 
 EIG_CLAMP_REL = 1e-10
 PRIOR_SUM_TOL = 1e-12
@@ -94,32 +97,35 @@ def gram_from_code(code, nbar):
 
 
 def sqrtm_psd(M):
-    """Square root of a symmetric PSD matrix via eigendecomposition.
+    """Square root of a symmetric PSD matrix, or of each in a stack (..., K, K).
 
-    Only the lower triangle of M is read, so M must already be symmetric.
+    One eigendecomposition call covers the whole stack. Only the lower
+    triangle of each matrix is read, so it must already be symmetric.
     Eigenvalues in [-tol, 0) are clamped to zero, where tol is 1e-10
-    relative to the largest eigenvalue; anything lower raises NotPSDError.
+    relative to that matrix's largest eigenvalue; anything lower raises
+    NotPSDError.
     """
     lam, U = np.linalg.eigh(M)
-    tol = EIG_CLAMP_REL * max(1.0, float(lam[-1]))
-    if lam[0] < -tol:
-        raise NotPSDError(f"eigenvalue {lam[0]} below -{tol}")
+    tol = EIG_CLAMP_REL * np.maximum(1.0, lam[..., -1])
+    if np.any(lam[..., 0] < -tol):
+        worst = np.argmax(-tol - lam[..., 0])
+        raise NotPSDError(f"eigenvalue {lam[..., 0].flat[worst]} below -{tol.flat[worst]}")
     lam = np.clip(lam, 0.0, None)
-    return (U * np.sqrt(lam)) @ U.T
+    return (U * np.sqrt(lam)[..., None, :]) @ np.swapaxes(U, -1, -2)
 
 
 def _srm_rows(gram, w):
     """Channel rows (What^{1/2})_ij^2 / w_i of the SRM weighted by w >= 0.
 
-    Row i sums to What_ii / w_i = 1 up to round-off. Zero-weight rows are
-    uniform by convention (they carry no weight in any mutual information).
+    ``gram`` is (..., K, K) and ``w`` is (..., K); each member of a stack
+    is independent of the others. Row i sums to What_ii / w_i = 1 up to
+    round-off. Zero-weight rows are uniform by convention (they carry no
+    weight in any mutual information).
     """
     d = np.sqrt(w)
-    root = sqrtm_psd(d[:, None] * gram * d)
-    rows = np.full(root.shape, 1.0 / len(w))
-    live = w > 0
-    rows[live] = root[live] ** 2 / w[live, None]
-    return rows
+    root = sqrtm_psd(d[..., :, None] * gram * d[..., None, :])
+    live = (w > 0)[..., None]
+    return np.where(live, root ** 2 / np.where(live, w[..., None], 1.0), 1.0 / w.shape[-1])
 
 
 def _stochastic_rows(rows, tol=1e-8):
@@ -129,10 +135,10 @@ def _stochastic_rows(rows, tol=1e-8):
     the largest eigenvalue of D G D, divided by w_i; heavily skewed weights
     (p_i^2 t_i in the MPE iteration) therefore show up as ~1e-10 row-sum
     round-off. Real completeness bugs are orders of magnitude larger than
-    this tolerance.
+    this tolerance. Works on one (K, K) matrix or a stack of them.
     """
     rows = np.clip(rows, 0.0, None)
-    sums = rows.sum(axis=1, keepdims=True)
+    sums = rows.sum(axis=-1, keepdims=True)
     worst = float(np.max(np.abs(sums - 1.0)))
     if worst > tol:
         raise ArithmeticError(f"measurement rows sum to 1 +- {worst}, beyond {tol}")
@@ -140,9 +146,9 @@ def _stochastic_rows(rows, tol=1e-8):
 
 
 def _channel(rows):
-    """The K-state DiscreteChannel of raw measurement rows."""
+    """The K-state DiscreteChannel of stochastic measurement rows."""
     labels = tuple(f"s{i}" for i in range(len(rows)))
-    return DiscreteChannel(inputs=labels, outputs=labels, p=_stochastic_rows(rows))
+    return DiscreteChannel(inputs=labels, outputs=labels, p=rows)
 
 
 def srm_channel(ensemble):
@@ -151,7 +157,7 @@ def srm_channel(ensemble):
     With Ghat_ij = sqrt(p_i p_j) G_ij, P(j|i) = (Ghat^{1/2})_ij^2 / p_i;
     zero-prior rows are uniform.
     """
-    return _channel(_srm_rows(ensemble.gram, ensemble.priors))
+    return _channel(_stochastic_rows(_srm_rows(ensemble.gram, ensemble.priors)))
 
 
 def helstrom_binary(overlap_sq, p1, p2):
@@ -161,6 +167,82 @@ def helstrom_binary(overlap_sq, p1, p2):
     if p1 < 0 or p2 < 0 or abs(p1 + p2 - 1.0) > 1e-12:
         raise ValueError(f"priors must be nonnegative and sum to 1, got {p1}, {p2}")
     return 0.5 * (1.0 - np.sqrt(1.0 - 4.0 * p1 * p2 * overlap_sq))
+
+
+class MpeStack(NamedTuple):
+    """Best iterates of a stack of B minimum-error solves.
+
+    ``rows`` (B, K, K) are stochastic rows, checked against the
+    DiscreteChannel bounds; the trace of member i is the entries of
+    ``trace_value`` whose ``trace_member`` is i, in order.
+    """
+
+    success: np.ndarray
+    rows: np.ndarray
+    iterations: np.ndarray
+    trace_member: np.ndarray
+    trace_value: np.ndarray
+
+    def result(self, i):
+        """Member i as an MpeResult."""
+        return MpeResult(success_probability=float(self.success[i]),
+                         channel=_channel(self.rows[i]),
+                         iterations=int(self.iterations[i]),
+                         success_trace=tuple(self.trace_value[self.trace_member == i].tolist()))
+
+
+def _success(p, rows):
+    """sum_i p_i P(i|i) of each member of a stack."""
+    return np.sum(p * np.diagonal(rows, axis1=-2, axis2=-1), axis=-1)
+
+
+def _mpe_stack(gram, p, tol=1e-12, max_iter=10000):
+    """Minimum-error solves of B ensembles at once: ``gram`` (B, K, K), ``p`` (B, K).
+
+    Runs the iteration of ``mpe_solve`` on every member in lockstep, one
+    weighted-SRM call per step for the members still iterating. A member
+    stops when its success gains less than ``tol``; it then leaves the
+    stack, so the others' later steps do not touch it, and its result is
+    what it would be if solved alone. Raises ConvergenceError, with the
+    MpeStack of every member's best iterate as ``best``, if any member is
+    still improving after ``max_iter`` steps.
+    """
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    rows = _srm_rows(gram, p)
+    best = _success(p, rows)
+    out = np.empty_like(rows)
+    iterations = np.zeros(len(p), dtype=int)
+    members, values = [np.arange(len(p))], [best.copy()]
+    live = np.arange(len(p))                   # the members still iterating
+    G, P, it = gram, p, 0
+    while live.size and it < max_iter:
+        it += 1
+        prev = rows
+        rows = _srm_rows(G, P * P * np.diagonal(rows, axis1=-2, axis2=-1))
+        success = _success(P, rows)
+        gain = success - best[live]
+        better = gain >= 0
+        best[live[better]] = success[better]
+        members.append(live[better])
+        values.append(success[better])
+        iterations[live] = it
+        done = gain < tol
+        if done.any():
+            # a stopped member's best is this step if it did not lose, else the last
+            out[live[done]] = np.where(better[done, None, None], rows[done], prev[done])
+            keep = ~done
+            live, G, P, rows = live[keep], G[keep], P[keep], rows[keep]
+    out[live] = rows                            # still improving: this step is the best
+    stack = MpeStack(success=best, rows=check_rows(_stochastic_rows(out)),
+                     iterations=iterations, trace_member=np.concatenate(members),
+                     trace_value=np.concatenate(values))
+    if live.size:
+        raise ConvergenceError(
+            f"MPE iteration of {live.size} of {len(p)} ensembles did not reach tol "
+            f"in {max_iter} steps", best=stack
+        )
+    return stack
 
 
 def mpe_solve(ensemble, tol=1e-12, max_iter=10000):
@@ -178,27 +260,11 @@ def mpe_solve(ensemble, tol=1e-12, max_iter=10000):
     sum_i p_i t_i is nondecreasing; iteration stops when the improvement
     drops below ``tol``, returning the best iterate. Geometrically uniform
     ensembles with equal priors stop immediately: the SRM is already the
-    fixed point.
+    fixed point. This is the stacked kernel at B = 1.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    G, p = ensemble.gram, ensemble.priors
-    rows = best_rows = _srm_rows(G, p)
-    best_success = float(p @ rows.diagonal())
-    trace = [best_success]
-    it, converged = 0, False
-    while not converged and it < max_iter:
-        it += 1
-        rows = _srm_rows(G, p * p * rows.diagonal())
-        success = float(p @ rows.diagonal())
-        converged = success - best_success < tol
-        if success >= best_success:
-            best_success, best_rows = success, rows
-            trace.append(success)
-    best = MpeResult(success_probability=best_success, channel=_channel(best_rows),
-                     iterations=it, success_trace=tuple(trace))
-    if not converged:
+    try:
+        return _mpe_stack(ensemble.gram[None], ensemble.priors[None], tol, max_iter).result(0)
+    except ConvergenceError as exc:
         raise ConvergenceError(
-            f"MPE iteration did not reach tol={tol} in {max_iter} steps", best=best
-        )
-    return best
+            f"MPE iteration did not reach tol={tol} in {max_iter} steps", best=exc.best.result(0)
+        ) from None

@@ -21,6 +21,23 @@ class ConvergenceError(RuntimeError):
         self.upper = upper
 
 
+def check_rows(p):
+    """Transition rows along the last axis of ``p``, clipped to >= 0.
+
+    ``p`` may be one (I, O) matrix or a stack (..., I, O); every entry must
+    be >= NEG_ENTRY_TOL and every row must sum to 1 within ROW_SUM_TOL,
+    else ValueError.
+    """
+    # written so that a NaN entry fails both checks
+    if not np.all(p >= NEG_ENTRY_TOL):
+        raise ValueError("negative or NaN transition probability")
+    rows = p.sum(axis=-1)
+    if not np.all(np.abs(rows - 1.0) <= ROW_SUM_TOL):
+        worst = float(np.max(np.abs(rows - 1.0)))
+        raise ValueError(f"rows must sum to 1 within {ROW_SUM_TOL}, worst off by {worst}")
+    return np.clip(p, 0.0, None)
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteChannel:
     """Row-stochastic transition matrix with labeled input/output symbols.
@@ -41,14 +58,7 @@ class DiscreteChannel:
                 f"transition matrix shape {p.shape} does not match "
                 f"{len(self.inputs)} inputs x {len(self.outputs)} outputs"
             )
-        # written so that a NaN entry fails both checks
-        if not np.all(p >= NEG_ENTRY_TOL):
-            raise ValueError("negative or NaN transition probability")
-        rows = p.sum(axis=1)
-        if not np.all(np.abs(rows - 1.0) <= ROW_SUM_TOL):
-            worst = float(np.max(np.abs(rows - 1.0)))
-            raise ValueError(f"rows must sum to 1 within {ROW_SUM_TOL}, worst off by {worst}")
-        p = np.clip(p, 0.0, None)
+        p = check_rows(p)
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "inputs", tuple(self.inputs))

@@ -3,6 +3,10 @@
 The inner code plus its joint-detection receiver induce a discrete
 memoryless channel; everything downstream (curves, envelopes, the
 two-symbol capacity ratios) is classical Shannon theory on that channel.
+A two-symbol ratio curve is one lockstep computation: the prior scan
+maximizes every nbar of the grid at once, and each of its steps evaluates
+the mutual information (and, for the MPE receiver, solves the measurement)
+for the whole grid in one stacked array call.
 """
 
 from typing import NamedTuple
@@ -13,7 +17,7 @@ from . import discrimination, optics_sim
 from .capacity_limits import CLOSED_FORMS, CapacityPoint, c1_bpsk_dolinar
 from .codes import two_symbol_code
 from .dmc import ConvergenceError, DiscreteChannel
-from .entropy import entropy_bits, xlog2
+from .entropy import xlog2
 
 __all__ = [
     "DiscreteChannel",
@@ -34,11 +38,14 @@ def mutual_information(channel, priors):
         raise ValueError(f"priors length {r.shape} != {channel.num_inputs} inputs")
     if np.any(r < 0) or abs(r.sum() - 1.0) > 1e-9:
         raise ValueError("priors must be nonnegative and sum to 1")
-    P = channel.p
-    out_dist = r @ P
-    h_out = entropy_bits(out_dist)
-    h_cond = float(np.sum(r * -np.sum(xlog2(P), axis=1)))
-    return max(h_out - h_cond, 0.0)
+    return float(_mutual_information(channel.p, r))
+
+
+def _mutual_information(P, r):
+    """I(X;Y) in bits of stacked channels P (..., I, O) at priors r (..., I), unchecked."""
+    h_out = -np.sum(xlog2((r[..., None, :] @ P)[..., 0, :]), axis=-1)
+    h_cond = np.sum(r * -np.sum(xlog2(P), axis=-1), axis=-1)
+    return np.maximum(h_out - h_cond, 0.0)
 
 
 def _relative_entropies(P, out_dist):
@@ -81,35 +88,37 @@ def capacity_blahut_arimoto(channel, tol=1e-12, max_iter=100000):
 
 
 def prior_scan_max(fn, lo=0.0, hi=0.5, resolution=33):
-    """Maximize a scalar function by grid scan plus golden-section refinement.
+    """Maximize N functions at once by grid scan plus golden-section refinement.
 
-    Deterministic; flat stretches resolve to the smallest argument. Returns
-    (x_star, value).
+    ``fn`` maps an array x of shape (N, M), or (1, M) for the grid that all
+    rows share, to the (N, M) values of row n's function at x[n]; every row
+    takes the same steps. Deterministic; flat stretches resolve to the
+    smallest argument. Returns arrays (x_star, value) of shape (N,).
     """
     if resolution < 3:
         raise ValueError(f"need resolution >= 3, got {resolution}")
     xs = np.linspace(lo, hi, resolution)
-    vals = np.array([fn(x) for x in xs])
-    i = int(np.argmax(vals))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, resolution - 1)]
+    vals = fn(xs[None, :])
+    rows = np.arange(len(vals))
+    i = np.argmax(vals, axis=1)
+    a = xs[np.maximum(i - 1, 0)]
+    b = xs[np.minimum(i + 1, resolution - 1)]
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
+    fc, fd = fn(np.stack([c, d], axis=1)).T
     for _ in range(60):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-    candidates = [(vals[i], xs[i]), (fc, c), (fd, d)]
-    best_val = max(v for v, _ in candidates)
-    best_x = min(x for v, x in candidates if v == best_val)
-    return float(best_x), float(best_val)
+        left = fc >= fd             # keep [a, d]: d <- c and a new c; else [c, b]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - inv_phi * (b - a), a + inv_phi * (b - a))
+        fx = fn(x[:, None])[:, 0]
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    cand_v = np.stack([vals[rows, i], fc, fd], axis=1)
+    cand_x = np.stack([xs[i], c, d], axis=1)
+    best_val = cand_v.max(axis=1)
+    best_x = np.where(cand_v == best_val[:, None], cand_x, np.inf).min(axis=1)
+    return best_x, best_val
 
 
 class RatioPoint(NamedTuple):
@@ -119,45 +128,49 @@ class RatioPoint(NamedTuple):
     ratio: float
 
 
-def _two_symbol_i2(nbar, receiver, resolution=33):
-    """Best per-symbol mutual information of the (2,3,1) superchannel.
-
-    Priors are restricted to the one-parameter family (1-2p, p, p); for the
-    MPE receiver the measurement is re-optimized for each prior before the
-    mutual information is evaluated.
-    """
-    if receiver == "structured":
-        channel = optics_sim.two_symbol_receiver_channel(nbar)
-
-        def value(p):
-            return mutual_information(channel, [1.0 - 2.0 * p, p, p]) / 2.0
-
-    elif receiver == "mpe":
-        ensemble_gram = discrimination.gram_from_code(two_symbol_code(), nbar).gram
-
-        def value(p):
-            priors = np.array([1.0 - 2.0 * p, p, p])
-            ens = discrimination.PureStateEnsemble(gram=ensemble_gram, priors=priors)
-            result = discrimination.mpe_solve(ens)
-            return mutual_information(result.channel, priors) / 2.0
-
-    else:
-        raise ValueError(f"unknown receiver {receiver!r}; use 'structured' or 'mpe'")
-    _, best = prior_scan_max(value, 0.0, 0.5, resolution)
-    return best
+def _prior_family(p):
+    """The two-symbol priors (1-2p, p, p) along a new last axis."""
+    return np.stack([1.0 - 2.0 * p, p, p], axis=-1)
 
 
 def two_symbol_ratio_curve(nbar_grid, receiver="structured"):
-    """I2/C1 superadditivity ratio of the two-symbol receivers along a grid."""
+    """I2/C1 superadditivity ratio of the two-symbol receivers along a grid.
+
+    I2 is the best per-symbol mutual information of the (2,3,1)
+    superchannel over the prior family (1-2p, p, p); for the MPE receiver
+    the measurement is re-optimized for each prior before the mutual
+    information is evaluated. One prior scan covers the whole grid: each
+    of its steps is one array computation over every nbar.
+    """
     nbar_grid = np.asarray(nbar_grid, dtype=float)
     if nbar_grid.size == 0 or np.any(nbar_grid <= 0):
         raise ValueError("need a nonempty grid of positive nbar values")
-    points = []
-    for nbar in nbar_grid:
-        i2 = _two_symbol_i2(nbar, receiver)
-        c1 = c1_bpsk_dolinar(nbar)
-        points.append(RatioPoint(nbar=float(nbar), i2=i2, c1=c1, ratio=i2 / c1))
-    return points
+    n = len(nbar_grid)
+    if receiver == "structured":
+        channels = np.stack([optics_sim.two_symbol_receiver_channel(nbar).p
+                             for nbar in nbar_grid])[:, None]
+
+        def value(p):
+            return _mutual_information(channels, _prior_family(p)) / 2.0
+
+    elif receiver == "mpe":
+        code = two_symbol_code()
+        grams = np.stack([discrimination.gram_from_code(code, nbar).gram
+                          for nbar in nbar_grid])[:, None]
+
+        def value(p):
+            priors = _prior_family(np.broadcast_to(p, (n, p.shape[1])))
+            stack = discrimination._mpe_stack(
+                np.broadcast_to(grams, priors.shape + (3,)).reshape(-1, 3, 3),
+                priors.reshape(-1, 3))
+            return _mutual_information(stack.rows.reshape(priors.shape + (3,)), priors) / 2.0
+
+    else:
+        raise ValueError(f"unknown receiver {receiver!r}; use 'structured' or 'mpe'")
+    _, i2 = prior_scan_max(value, 0.0, 0.5, 33)
+    c1 = c1_bpsk_dolinar(nbar_grid)
+    return [RatioPoint(nbar=float(nb), i2=float(v), c1=float(c), ratio=float(v) / float(c))
+            for nb, v, c in zip(nbar_grid, i2, c1)]
 
 
 def capacity_curves(family, m, nbar_grid, receiver="structured"):

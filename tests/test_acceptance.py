@@ -58,7 +58,7 @@ def test_criterion_04_two_symbol_ratios():
     mpe = max(p.ratio for p in sc.two_symbol_ratio_curve(grid, "mpe"))
     elapsed = time.perf_counter() - t0
     ok = (abs(structured - 1.0249) <= 0.003 and abs(mpe - 1.0266) <= 0.003
-          and elapsed < 60.0)
+          and elapsed < 10.0)
     check(4, ok, f"max I2/C1: structured = {structured:.4f} (1.0249 +- 0.003), "
                  f"MPE = {mpe:.4f} (1.0266 +- 0.003), {elapsed:.1f}s")
 

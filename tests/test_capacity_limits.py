@@ -351,6 +351,11 @@ class TestTradeoffCurve:
         pies = [p.pie for p in pts]
         assert all(x > y for x, y in zip(pies, pies[1:]))
 
+    def test_infinite_budget_pie_is_zero(self):
+        finite, infinite = cl.tradeoff_curve(2, [1.0, np.inf])
+        assert infinite.pie == 0.0 and infinite.spectral_efficiency == np.inf
+        assert finite.pie == pytest.approx(cl.pie_ultimate(0.5), rel=1e-15)
+
 
 class TestOrderingInvariant:
     """Capacity ordering chain, checked on the spec's log grid.

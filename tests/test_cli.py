@@ -244,6 +244,34 @@ class TestLink:
         assert capsys.readouterr().out == ""
 
 
+class TestNumericalFailure:
+    @pytest.mark.parametrize("error", [
+        ArithmeticError("measurement rows sum to 1 +- 1e-06, beyond 1e-08"),
+        ZeroDivisionError("float division by zero"),
+    ])
+    def test_arithmetic_error_exits_3(self, capsys, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli.superchannel, "two_symbol_ratio_curve", fail)
+        code, out, err = run(capsys, ["superchannel", "--family", "two_symbol",
+                                      "--points", "2"])
+        assert code == 3 and out == ""
+        assert err == f"numerical failure: {error}\n"
+
+    def test_consistency_error_exits_3(self, capsys, monkeypatch):
+        from jdrcap.capacity_limits import ConsistencyError
+
+        def fail(*args, **kwargs):
+            raise ConsistencyError("gamma^2 - 4^m p0^2 < 0")
+
+        monkeypatch.setitem(cli.capacity_limits.CLOSED_FORMS, "rm_mpe", fail)
+        code, out, err = run(capsys, ["superchannel", "--family", "rm_mpe", "--m", "3",
+                                      "--points", "2"])
+        assert code == 3 and out == ""
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+
 class TestDeterminism:
     def test_limits_rerun_byte_identical(self, tmp_path):
         args = ["limits", "--points", "10", "--families", "ultimate,c1_dolinar"]

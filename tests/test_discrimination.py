@@ -169,7 +169,7 @@ class TestMpeSolve:
         normalise = disc._stochastic_rows
 
         def record(rows, tol=1e-8):
-            sums.append(rows.sum(axis=1))
+            sums.append(rows.sum(axis=-1))
             return normalise(rows, tol)
 
         monkeypatch.setattr(disc, "_stochastic_rows", record)
@@ -186,6 +186,94 @@ class TestMpeSolve:
             disc.mpe_solve(ens, tol=1e-30, max_iter=3)
         best = excinfo.value.best
         assert best is not None and 0.5 < best.success_probability <= 1.0
+
+
+def srm_success(gram, priors):
+    """sum_i ((R^{1/2})_ii)^2 with R = diag(sqrt p) G diag(sqrt p), written out."""
+    sp = np.sqrt(priors)
+    lam, U = np.linalg.eigh(sp[:, None] * gram * sp[None, :])
+    root = (U * np.sqrt(np.clip(lam, 0.0, None))) @ U.T
+    return float(np.sum(np.diag(root) ** 2))
+
+
+def mixed_batch():
+    """Two-symbol Grams at four nbar, each with the 33 priors (1-2p, p, p)."""
+    grams, priors = [], []
+    for nbar in (1e-6, 1e-3, 0.1, 2.0):
+        gram = disc.gram_from_code(two_symbol_code(), nbar).gram
+        for p in np.linspace(0.0, 0.5, 33):
+            grams.append(gram)
+            priors.append([1 - 2 * p, p, p])
+    return np.array(grams), np.array(priors)
+
+
+class TestMpeStack:
+    def test_batch_matches_members_alone_bitwise(self):
+        grams, priors = mixed_batch()
+        stack = disc._mpe_stack(grams, priors)
+        assert len(set(stack.iterations.tolist())) > 5     # members stop at different steps
+        for i in range(len(priors)):
+            alone = disc._mpe_stack(grams[i:i + 1], priors[i:i + 1])
+            assert np.array_equal(stack.success[i:i + 1], alone.success)
+            assert np.array_equal(stack.rows[i:i + 1], alone.rows)
+            assert stack.iterations[i] == alone.iterations[0]
+            assert stack.result(i).success_trace == alone.result(0).success_trace
+            solved = disc.mpe_solve(disc.PureStateEnsemble(gram=grams[i], priors=priors[i]))
+            assert solved.success_probability == stack.result(i).success_probability
+            assert np.array_equal(solved.channel.p, stack.result(i).channel.p)
+
+    def test_every_member_passes_the_solve_audit(self):
+        grams, priors = mixed_batch()
+        stack = disc._mpe_stack(grams, priors)
+        for i in range(len(priors)):
+            res = stack.result(i)
+            success = res.success_probability
+            channel_success = float(np.sum(priors[i] * np.diag(res.channel.p)))
+            trace = res.success_trace
+            assert success >= srm_success(grams[i], priors[i]) - 1e-12
+            assert success <= 1 + 1e-12
+            assert abs(channel_success - success) <= 1e-9
+            assert all(b >= a for a, b in zip(trace, trace[1:]))
+
+    def test_two_state_batch_matches_helstrom(self):
+        overlaps = [0.0, 0.25, 0.5, 0.9, 1.0]
+        p1s = np.arange(0.1, 0.95, 0.1)
+        grams = np.array([[[1.0, np.sqrt(s)], [np.sqrt(s), 1.0]]
+                          for s in overlaps for _ in p1s])
+        priors = np.array([[p1, 1.0 - p1] for _ in overlaps for p1 in p1s])
+        assert len(priors) == 45
+        stack = disc._mpe_stack(grams, priors)
+        expected = [disc.helstrom_binary(s, p1, 1.0 - p1) for s in overlaps for p1 in p1s]
+        assert np.max(np.abs((1.0 - stack.success) - expected)) <= 1e-10
+
+    def test_max_iter_exhaustion_reports_every_member(self):
+        from jdrcap.dmc import ConvergenceError
+        grams = np.array([[[1.0, s], [s, 1.0]] for s in (0.9, 0.7, 0.5)])
+        priors = np.array([[0.4, 0.6], [0.3, 0.7], [0.2, 0.8]])
+        with pytest.raises(ConvergenceError) as excinfo:
+            disc._mpe_stack(grams, priors, tol=1e-30, max_iter=3)
+        best = excinfo.value.best
+        assert best.success.shape == (3,) and best.rows.shape == (3, 2, 2)
+        for i in range(3):
+            with pytest.raises(ConvergenceError) as alone:
+                disc._mpe_stack(grams[i:i + 1], priors[i:i + 1], tol=1e-30, max_iter=3)
+            assert np.array_equal(best.rows[i], alone.value.best.rows[0])
+            assert best.success[i] == alone.value.best.success[0]
+            assert best.iterations[i] == 3
+            assert srm_success(grams[i], priors[i]) - 1e-12 <= best.success[i] <= 1.0
+
+    def test_sqrtm_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(3)
+        A = rng.normal(size=(5, 4, 4))
+        M = A @ np.swapaxes(A, -1, -2)
+        S = disc.sqrtm_psd(M)
+        for k in range(5):
+            assert np.array_equal(S[k], disc.sqrtm_psd(M[k]))
+
+    def test_sqrtm_stack_rejects_one_indefinite_member(self):
+        M = np.stack([np.eye(2), np.diag([1.0, -0.5]), np.eye(2)])
+        with pytest.raises(disc.NotPSDError):
+            disc.sqrtm_psd(M)
 
 
 class TestEnsembleValidation:

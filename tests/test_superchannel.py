@@ -102,19 +102,19 @@ class TestBlahutArimoto:
 
 class TestPriorScanMax:
     def test_concave_quadratic(self):
-        x, v = sc.prior_scan_max(lambda p: -(p - 0.31234) ** 2, 0.0, 0.5)
+        (x,), (v,) = sc.prior_scan_max(lambda p: -(p - 0.31234) ** 2, 0.0, 0.5)
         assert x == pytest.approx(0.31234, abs=1e-6)
         assert v == pytest.approx(0.0, abs=1e-10)
 
     def test_flat_function_smallest_argument(self):
-        x, v = sc.prior_scan_max(lambda p: 1.0, 0.0, 0.5)
+        (x,), (v,) = sc.prior_scan_max(lambda p: np.ones_like(p), 0.0, 0.5)
         assert x == 0.0 and v == 1.0
 
     def test_matches_dense_grid_on_two_symbol_channel(self):
         nbar = 0.02
         ch = two_symbol_receiver_channel(nbar)
-        fn = lambda p: sc.mutual_information(ch, [1 - 2 * p, p, p]) / 2
-        x, v = sc.prior_scan_max(fn)
+        fn = np.vectorize(lambda p: sc.mutual_information(ch, [1 - 2 * p, p, p]) / 2)
+        (x,), (v,) = sc.prior_scan_max(fn)
         dense = np.linspace(0, 0.5, 20001)
         brute = max(fn(p) for p in dense)
         assert v == pytest.approx(brute, abs=1e-6)
@@ -122,6 +122,25 @@ class TestPriorScanMax:
     def test_rejects_tiny_resolution(self):
         with pytest.raises(ValueError):
             sc.prior_scan_max(lambda p: p, resolution=2)
+
+    def test_rows_match_one_row_scans_bitwise(self):
+        centres = np.array([0.0, 0.013, 0.31234, 0.25, 0.4999, 0.5, 0.17])
+
+        def family(c):
+            return lambda p: np.sin(3.0 * p) * np.exp(-((p - c[:, None]) / 0.1) ** 2)
+
+        xs, vs = sc.prior_scan_max(family(centres), 0.0, 0.5)
+        assert xs.shape == vs.shape == centres.shape
+        for k in range(len(centres)):
+            x, v = sc.prior_scan_max(family(centres[k:k + 1]), 0.0, 0.5)
+            assert np.array_equal(x, xs[k:k + 1]) and np.array_equal(v, vs[k:k + 1])
+
+    def test_flat_row_resolves_to_lo_alone(self):
+        flat = np.array([False, True, False])
+        xs, vs = sc.prior_scan_max(
+            lambda p: np.where(flat[:, None], 2.0, -(p - 0.3) ** 2), 0.1, 0.5)
+        assert xs[1] == 0.1 and vs[1] == 2.0
+        assert xs[0] == xs[2] == pytest.approx(0.3, abs=1e-6)
 
 
 class TestTwoSymbolRatioCurve:
@@ -148,7 +167,8 @@ class TestTwoSymbolRatioCurve:
 
     def test_mpe_where_the_states_nearly_merge(self):
         nbar = 1e-6
-        i2 = sc._two_symbol_i2(nbar, "mpe")
+        (pt,) = sc.two_symbol_ratio_curve([nbar], "mpe")
+        i2 = pt.i2
         assert 0.0 < i2 <= holevo_bpsk(nbar)
 
 
@@ -203,3 +223,27 @@ class TestChannelValidation:
         assert "e" in ch.outputs
         cap, _ = sc.capacity_blahut_arimoto(ch, tol=1e-12)
         assert cap == pytest.approx(0.75, abs=1e-9)
+
+
+class TestStackedMutualInformation:
+    def test_stack_matches_each_channel(self):
+        rng = np.random.default_rng(5)
+        P = rng.random((4, 3, 5))
+        P /= P.sum(axis=-1, keepdims=True)
+        r = rng.random((4, 3))
+        r /= r.sum(axis=-1, keepdims=True)
+        stacked = sc._mutual_information(P, r)
+        for k in range(4):
+            ch = DiscreteChannel(tuple("abc"), tuple("vwxyz"), P[k])
+            assert stacked[k] == pytest.approx(mutual_information_direct(P[k], r[k]), abs=1e-12)
+            assert stacked[k] == sc.mutual_information(ch, r[k])
+
+
+class TestTwoSymbolCurveRows:
+    @pytest.mark.parametrize("receiver", ["structured", "mpe"])
+    def test_points_match_one_point_curves(self, receiver):
+        grid = np.geomspace(1e-3, 2.0, 6)
+        curve = sc.two_symbol_ratio_curve(grid, receiver)
+        for nbar, pt in zip(grid, curve):
+            (alone,) = sc.two_symbol_ratio_curve([nbar], receiver)
+            assert pt == alone
