@@ -79,6 +79,14 @@ def _finite_float(text):
     return value
 
 
+def _seed(text):
+    """argparse type of --seed: numpy seed sequences take only integers >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"need a seed >= 0, got {text!r}")
+    return value
+
+
 class SystemExit2(SystemExit):
     def __init__(self, message):
         sys.stderr.write(f"error: {message}\n")
@@ -276,7 +284,7 @@ def build_parser():
     p.add_argument("--m", type=int, default=8, help="code order, 1..10")
     add_nbar_grid(p, 1e-3, 1e-1, 10)
     p.add_argument("--trials", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(run=cmd_ber)
 

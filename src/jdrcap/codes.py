@@ -62,13 +62,15 @@ class BinaryCode:
 
 
 def sylvester_hadamard(m):
-    """The 2^m x 2^m Sylvester-Hadamard matrix with +-1 entries, H H^T = 2^m I."""
+    """The 2^m x 2^m Sylvester-Hadamard matrix with +-1 entries, H H^T = 2^m I.
+
+    Entry (i, j) is (-1)^popcount(i & j), the closed form of the recursion
+    H_{2k} = [[H_k, H_k], [H_k, -H_k]].
+    """
     if m < 0:
         raise ValueError(f"need m >= 0, got {m}")
-    H = np.array([[1]], dtype=np.int64)
-    for _ in range(m):
-        H = np.block([[H, H], [H, -H]])
-    return H
+    i = np.arange(1 << m)
+    return 1 - 2 * (np.bitwise_count(i[:, None] & i) & 1).astype(np.int64)
 
 
 def hadamard_code(m, with_ancilla=False):
@@ -119,10 +121,13 @@ def fwht(v, normalized=False):
     """Walsh-Hadamard transform over the last axis of an (..., n) array.
 
     The plain variant equals multiplication by the Sylvester matrix; the
-    normalized one scales by 1/sqrt(n) and is an involution. The order-2^m
-    Sylvester matrix is the Kronecker product of Sylvester factors of at most
-    256 rows: each factor is one matrix product on the last axis, which is
-    then rotated to the front of the index, so m <= 8 is a single product.
+    normalized one scales by 1/sqrt(n) and is an involution. For n = 2^m the
+    last axis is viewed as an (a, b) array with a = 2^floor(m/2),
+    b = 2^ceil(m/2), and since H_n = H_a (x) H_b the transform is
+    H_a @ X @ H_b: one 2-D product with H_b over every row of the batch, then
+    one batched product with H_a. That costs a + b rather than n
+    multiply-adds per output entry. It is exact on integer-valued input whose
+    sums fit the dtype's mantissa, which is what hard decoding relies on.
     Floating and complex inputs keep their dtype; others become float64.
     Input length must be a power of two.
     """
@@ -133,26 +138,26 @@ def fwht(v, normalized=False):
     if n == 0 or n & (n - 1):
         raise ValueError(f"FWHT needs a power-of-two length, got {n}")
     m = n.bit_length() - 1
-    k = max(1, -(-m // 8))  # fewest factors of at most 2^8 rows, near-equal orders
-    batch = v.shape[:-1]
-    for b in (m // k + (i < m % k) for i in range(k)):
-        f = 1 << b
-        # a 2-D operand makes this one BLAS call, not one per batch row
-        v = (v.reshape(-1, f) @ sylvester_hadamard(b).astype(v.dtype)).reshape(-1, n // f, f)
-        v = v.swapaxes(1, 2)
-    v = v.reshape(batch + (n,))
+    a, b = m // 2, m - m // 2
+    # a 2-D operand makes this one BLAS call, not one per batch row
+    x = v.reshape(-1, 1 << b) @ sylvester_hadamard(b).astype(v.dtype)
+    out = np.matmul(sylvester_hadamard(a).astype(v.dtype), x.reshape(-1, 1 << a, 1 << b))
+    out = out.reshape(v.shape)
     if normalized:
-        v /= np.sqrt(n)
-    return v
+        out /= np.sqrt(n)
+    return out
 
 
 def ml_decode_hard(code, received):
     """Maximum-likelihood (minimum Hamming distance) hard decoding.
 
     ``received`` is one word (n,), decoded to an int, or a batch (..., n),
-    decoded to an index array. Hadamard/RM codes decode by the FWHT of the
-    +-1 word, zero-padded at the front to 2^m modes where the pilot
-    coordinate was deleted; RM(1,m) appends the complements' correlations.
+    decoded to an index array. Hadamard/RM codes decode by the FWHT y of the
+    0/1 word, zero-padded at the front to 2^m modes where the pilot
+    coordinate was deleted. Every row but the all-zero row 0 has weight
+    2^{m-1}, so the distance to row j, less 2^{m-1}, is y_j for j > 0 and
+    y_0 - 2^{m-1} for j = 0; an RM(1,m) complement row (distance n - d_j)
+    has the negated value.
     Other codes fall back to brute force over all codewords. Ties break to
     the smallest index.
     """
@@ -162,14 +167,15 @@ def ml_decode_hard(code, received):
     if code.family in ("hadamard", "rm1"):
         modes = code.size if code.family == "hadamard" else code.n
         s = np.zeros(received.shape[:-1] + (modes,), dtype=np.float32)
-        s[..., modes - code.n:] = 1 - 2 * received.astype(np.float32)
-        # correlations: twice the agreement count minus n, same argmax
-        scores = fwht(s)
+        s[..., modes - code.n:] = received
+        # distances minus 2^{m-1}: exact integers in float32, same argmin
+        dist = fwht(s)
+        dist[..., 0] -= modes // 2
         if code.family == "rm1":
-            scores = np.concatenate([scores, -scores], axis=-1)
+            dist = np.concatenate([dist, -dist], axis=-1)
     else:
-        scores = -np.sum(code.codewords != received[..., None, :].astype(np.uint8), axis=-1)
-    decoded = np.argmax(scores, axis=-1)
+        dist = np.sum(code.codewords != received[..., None, :].astype(np.uint8), axis=-1)
+    decoded = np.argmin(dist, axis=-1)
     return int(decoded) if received.ndim == 1 else decoded
 
 

@@ -15,13 +15,18 @@ from jdrcap.entropy import binary_entropy
 
 
 def dense_walsh(v):
-    """Walsh-Hadamard transform by explicit Sylvester matrix multiply."""
-    n = len(v)
+    """Walsh-Hadamard transform over the last axis by one explicit Sylvester
+    matrix multiply in float64; complex input takes the real and imaginary
+    parts through separate real products."""
+    v = np.asarray(v)
+    if np.iscomplexobj(v):
+        return dense_walsh(v.real) + 1j * dense_walsh(v.imag)
+    n = v.shape[-1]
     m = n.bit_length() - 1
-    H = np.array([[1]], dtype=np.int64)
+    H = np.array([[1]], dtype=np.int8)
     for _ in range(m):
         H = np.block([[H, H], [H, -H]])
-    return H @ np.asarray(v)
+    return v.astype(float) @ H.astype(float)  # H is symmetric
 
 
 def brute_force_ml(codewords, received):
@@ -144,6 +149,35 @@ def exhaustive_dr_ber(m, nbar):
         wrong_bits = np.bitwise_count(np.uint32(k) ^ decoded.astype(np.uint32))
         total += np.dot(probs, wrong_bits) / m
     return total / K
+
+
+def plain_dr_ber_bit_errors(m, nbar, trials, seed, chunk=50000):
+    """Bit errors of the Hadamard-DR Monte Carlo by its plain reference loop.
+
+    Whole chunks of trials: the chunk's messages, then one (batch, n) array
+    of ``Generator.random`` doubles compared with q, decoded by a dense
+    correlation with every +-1 codeword (ties to the smallest index). Same
+    seeding and draw order as ``ber_sim.hadamard_dr_ber``, no raw words, no
+    blocks and no FWHT.
+    """
+    from jdrcap.codes import hadamard_code
+
+    code = hadamard_code(m, with_ancilla=False)
+    codewords, K, n = code.codewords, code.size, code.n
+    signs = (1.0 - 2.0 * codewords.T).astype(np.float32)
+    q = dolinar_error_q(nbar)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed)))
+    bit_errors = 0
+    done = 0
+    while done < trials:
+        batch = min(chunk, trials - done)
+        msg = rng.integers(0, K, size=batch)
+        flips = rng.random((batch, n)) < q
+        received = codewords[msg] ^ flips
+        decoded = np.argmax((1 - 2 * received.astype(np.float32)) @ signs, axis=1)
+        bit_errors += int(np.bitwise_count(msg ^ decoded).sum())
+        done += batch
+    return bit_errors
 
 
 def dr_ber_lower_bound(m, nbar):

@@ -4,7 +4,7 @@ import pytest
 from jdrcap import ber_sim
 from jdrcap.capacity_limits import dolinar_error_q
 
-from oracles import exhaustive_dr_ber
+from oracles import exhaustive_dr_ber, plain_dr_ber_bit_errors
 
 
 class TestUncodedBpsk:
@@ -51,6 +51,68 @@ class TestHadamardDrBer:
     def test_rejects_thin_sampling(self):
         with pytest.raises(ValueError):
             ber_sim.hadamard_dr_ber(3, 0.1, trials=5000, seed=0)
+
+    def test_trials_must_be_an_integer(self):
+        with pytest.raises(TypeError):
+            ber_sim.hadamard_dr_ber(3, 0.1, trials=1e5, seed=0)
+        point = ber_sim.hadamard_dr_ber(3, 0.1, trials=np.int64(10 ** 4), seed=0)
+        assert type(point.trials) is int and point.total_bits == 3 * 10 ** 4
+
+
+class TestDrawOrderPinned:
+    """hadamard_dr_ber's bit errors equal the plain whole-chunk loop's, bit for bit.
+
+    Trial counts cross the 50000-trial chunk and the decode blocks at
+    uneven points; nbar = 1e-300 is q = 1/2 and nbar = 50 puts q near 1e-88,
+    where only the raw words below 2^11 flip.
+    """
+
+    @pytest.mark.parametrize("m,nbar,trials,seed", [
+        (8, 1e-300, 50001, 2 ** 63 + 5),
+        (8, 0.05, 50001, 0),
+        (10, 1e-3, 10001, 3),
+        (4, 0.15, 123457, 11),
+        (3, 50.0, 123457, 7),
+        (2, 1e-3, 60000, 9),
+        (1, 0.15, 12345, 1),
+    ])
+    def test_matches_plain_loop(self, m, nbar, trials, seed):
+        pt = ber_sim.hadamard_dr_ber(m, nbar, trials, seed)
+        assert pt.bit_errors == plain_dr_ber_bit_errors(m, nbar, trials, seed)
+
+    @pytest.mark.parametrize("m,block_words", [(4, 100), (2, 1)])
+    def test_block_size_does_not_move_the_estimate(self, monkeypatch, m, block_words):
+        monkeypatch.setattr(ber_sim, "_BLOCK_WORDS", block_words)
+        pt = ber_sim.hadamard_dr_ber(m, 0.05, 10007, 5)
+        assert pt.bit_errors == plain_dr_ber_bit_errors(m, 0.05, 10007, 5)
+
+
+class TestFlipCut:
+    """word < flip_cut(q) is exactly Generator.random's double below q."""
+
+    QS = [0.5, 0.27, 5e-324, 0.0] + [float(dolinar_error_q(x))
+                                     for x in np.geomspace(1e-3, 6e-2, 10)]
+
+    @pytest.mark.parametrize("q", QS)
+    def test_words_around_the_cut(self, q):
+        cut = ber_sim.flip_cut(q)
+        for word in (cut - 1, cut, cut + 1):
+            if not 0 <= word < 2 ** 64:
+                continue
+            uniform = (word >> 11) * 2.0 ** -53     # exact: word >> 11 < 2^53
+            assert (word < cut) == (uniform < q), (q, word)
+            assert (np.uint64(word) < np.uint64(cut)) == (uniform < q)
+
+    def test_double_is_the_shifted_raw_word(self):
+        a = np.random.default_rng(np.random.SeedSequence(entropy=123))
+        b = np.random.default_rng(np.random.SeedSequence(entropy=123))
+        words = a.bit_generator.random_raw(1000)
+        assert np.array_equal((words >> np.uint64(11)) * 2.0 ** -53, b.random(1000))
+
+    @pytest.mark.parametrize("q", [-1e-300, 0.5000000000000001, float("nan")])
+    def test_rejects_q_outside_half_interval(self, q):
+        with pytest.raises(ValueError):
+            ber_sim.flip_cut(q)
 
 
 class TestHadamardJdrBer:

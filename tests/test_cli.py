@@ -191,6 +191,16 @@ class TestBer:
             cli.main(["ber", "--m", m, "--points", "2", "--trials", "10000"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("seed", ["-1", str(-2 ** 63)])
+    def test_negative_seed_usage_error(self, capsys, seed):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["ber", "--seed", seed, "--points", "2", "--trials", "10000"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert "--seed" in captured.err
+
 
 class TestLink:
     ARGS = ["link", "--wavelength", "1.55e-6", "--range", "1000",

@@ -141,6 +141,60 @@ class TestFwht:
             codes.fwht([1.0, 2.0, 3.0])
 
 
+class TestFwhtAgainstDense:
+    """The two-factor FWHT (H_a X H_b) against the explicit Sylvester
+    multiply, m = 0..12."""
+
+    @staticmethod
+    def inputs(m, seed):
+        rng = np.random.default_rng(seed)
+        n = 2 ** m
+        real = rng.normal(size=(3, n))
+        cplx = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+        # the decoder's input: integer-valued float32 rows of +-1 and 0
+        signs = rng.choice(np.array([-1.0, 0.0, 1.0], dtype=np.float32), size=(3, n))
+        return real, cplx, signs
+
+    @staticmethod
+    def rel_err(got, want):
+        return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1.0)
+
+    @pytest.mark.parametrize("m", range(0, 13))
+    def test_matches_dense_matrix(self, m):
+        real, cplx, signs = self.inputs(m, 100 + m)
+        want = dense_walsh(np.vstack([real, cplx.real, cplx.imag, signs]))
+        want_real, want_cplx, want_signs = want[:3], want[3:6] + 1j * want[6:9], want[9:]
+        got = codes.fwht(real)
+        assert got.dtype == np.float64 and self.rel_err(got, want_real) <= 1e-12
+        got = codes.fwht(cplx)
+        assert got.dtype == np.complex128 and self.rel_err(got, want_cplx) <= 1e-12
+        got = codes.fwht(signs)
+        assert got.dtype == np.float32 and np.array_equal(got, want_signs)
+
+    @pytest.mark.parametrize("m", [0, 3, 5, 6, 8, 11])
+    @pytest.mark.parametrize("shape", [(), (6,), (2, 3)])
+    def test_batch_shapes_keep_dtype(self, m, shape):
+        real, cplx, signs = self.inputs(m, 200 + m)
+        n = 2 ** m
+        size = int(np.prod(shape))
+        for v in (real, cplx, signs):
+            rows = np.resize(v, (size, n))
+            got = codes.fwht(rows.reshape(shape + (n,)))
+            assert got.shape == shape + (n,) and got.dtype == v.dtype
+            want = dense_walsh(rows).reshape(shape + (n,))
+            if v is signs:
+                assert np.array_equal(got, want)
+            else:
+                assert self.rel_err(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("m", range(0, 13))
+    def test_normalized_involution(self, m):
+        real, cplx, _ = self.inputs(m, 300 + m)
+        for v in (real, cplx):
+            twice = codes.fwht(codes.fwht(v, normalized=True), normalized=True)
+            assert self.rel_err(twice, v) <= 1e-12
+
+
 def all_words(n):
     return ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
 
