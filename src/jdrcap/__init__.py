@@ -3,8 +3,6 @@
 __version__ = "0.1.0"
 
 from .capacity_limits import (
-    CapacityPoint,
-    TradeoffPoint,
     c1_bpsk_dolinar,
     dolinar_error_q,
     f_integral,

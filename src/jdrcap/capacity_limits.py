@@ -10,8 +10,6 @@ a scalar gives a float, an array an array of the same shape. All functions
 are pure and safe for concurrent evaluation.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.integrate import quad  # noqa: F401  read by perfbench/tracer.py for kernels.quad.calls
 from scipy.special import ellipeinc, ellipkinc
@@ -21,26 +19,6 @@ from .entropy import LN2, binary_entropy, xlog2
 
 class ConsistencyError(ArithmeticError):
     """A closed-form intermediate violated a bound it provably satisfies."""
-
-
-@dataclass(frozen=True)
-class CapacityPoint:
-    """One (nbar, capacity) sample of a capacity family, with its PIE."""
-
-    nbar: float
-    bits_per_symbol: float
-    pie: float
-    label: str
-
-
-@dataclass(frozen=True)
-class TradeoffPoint:
-    """PIE versus spectral efficiency at fixed mode count and photon budget."""
-
-    spectral_efficiency: float
-    pie: float
-    n_r: float
-    modes: int
 
 
 def _photons(x, strict=False):
@@ -58,12 +36,17 @@ def _float_or_array(x):
 def g(nbar):
     """Holevo capacity of a lossless bosonic mode, (1+n)log2(1+n) - n log2(n) bits.
 
-    g(0) = 0 by the x log x -> 0 convention, and g(inf) = inf.
+    g(0) = 0 by the x log x -> 0 convention, and g(inf) = inf. From n = 1 on
+    the two terms nearly cancel, so there g = log2(1+n) + n log2(1 + 1/n);
+    below 1 they do not, and 1/n would overflow for subnormal n.
     """
     nbar = _photons(nbar)
     big = np.isinf(nbar)
     n = np.where(big, 0.0, nbar)    # keeps inf - inf out of the formula
-    return _float_or_array(np.where(big, np.inf, (1.0 + n) * np.log1p(n) / LN2 - xlog2(n)))
+    lo, hi = np.minimum(n, 1.0), np.maximum(n, 1.0)   # each form only where it is finite
+    below = (1.0 + lo) * np.log1p(lo) / LN2 - xlog2(lo)
+    above = (np.log1p(hi) + hi * np.log1p(1.0 / hi)) / LN2
+    return _float_or_array(np.where(big, np.inf, np.where(n < 1.0, below, above)))
 
 
 def pie_ultimate(nbar):
@@ -106,8 +89,17 @@ def dolinar_error_q(nbar):
 
 
 def c1_bpsk_dolinar(nbar):
-    """Single-symbol BPSK capacity 1 - H_b(q) of the Dolinar-receiver BSC."""
-    return 1.0 - binary_entropy(dolinar_error_q(nbar))
+    """Single-symbol BPSK capacity 1 - H_b(q) of the Dolinar-receiver BSC.
+
+    With x = sqrt(1 - e^{-4 nbar}) and q = (1 - x)/2, ln(1 - x^2) = -4 nbar
+    turns 1 - H_b(q), which cancels as q -> 1/2, into
+    [x log1p(x) - 2 nbar e^{-4 nbar} / (1 + x)] / ln 2.
+    """
+    # past nbar = 200, e^{-4 nbar} underflows and c1 is exactly 1; the clamp
+    # keeps 4 nbar finite and inf * 0 out of the formula
+    n = np.minimum(_photons(nbar), 200.0)
+    x = np.sqrt(-np.expm1(-4.0 * n))
+    return _float_or_array((x * np.log1p(x) - 2.0 * n * np.exp(-4.0 * n) / (1.0 + x)) / LN2)
 
 
 # Taylor coefficients of f(b) / b^{3/2} at b = 0, and where the series takes over
@@ -227,13 +219,13 @@ CLOSED_FORMS = {
 def pie_envelope(nbar, family, m_range):
     """Best PIE over a code-size range: max_m I_m(nbar)/nbar.
 
-    ``family`` is a key of CLOSED_FORMS; "hadamard" names "hadamard_jdr".
+    ``family`` is a key of CLOSED_FORMS.
     Returns (m_star, pie), ints/floats for a scalar nbar and arrays for an
     array; ties break to the smaller m.
     """
     nbar = _photons(nbar, strict=True)
     try:
-        cap = CLOSED_FORMS[{"hadamard": "hadamard_jdr"}.get(family, family)]
+        cap = CLOSED_FORMS[family]
     except KeyError:
         raise ValueError(f"unknown family {family!r}; choose from {sorted(CLOSED_FORMS)}")
     ms = sorted(set(int(m) for m in m_range))
@@ -252,13 +244,11 @@ def tradeoff_curve(modes, n_r_grid):
 
     SE = M g(N_R / M) bits/sec/Hz and PIE = SE / N_R at each total received
     photon number N_R in the grid; at an infinite budget PIE is its limit 0.
+    Returns the arrays (se, pie), aligned with the grid.
     """
     if modes < 1:
         raise ValueError(f"need at least one mode, got {modes}")
     n_r = _photons(n_r_grid, strict=True)
     se = modes * g(n_r / modes)
     big = np.isinf(n_r)
-    pie = np.where(big, 0.0, se / np.where(big, 1.0, n_r))
-    return [TradeoffPoint(spectral_efficiency=float(s), pie=float(p), n_r=float(r),
-                          modes=int(modes))
-            for s, p, r in zip(se, pie, n_r)]
+    return se, np.where(big, 0.0, se / np.where(big, 1.0, n_r))

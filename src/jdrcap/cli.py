@@ -44,9 +44,11 @@ def _fmt(x):
     return str(x)
 
 
-def _csv(header, rows):
+def _csv(header, columns):
+    """CSV text of equal-length columns (arrays or lists), one row per index."""
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    rows = zip(*(np.asarray(col).tolist() for col in columns), strict=True)
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -101,8 +103,7 @@ LIMIT_COLUMNS = {
     "hadamard_envelope":
         lambda grid, ms: capacity_limits.pie_envelope(grid, "hadamard_jdr", ms)[1],
     "rm_gm_envelope": lambda grid, ms: capacity_limits.pie_envelope(grid, "rm_gm", ms)[1],
-    "two_symbol":
-        lambda grid, ms: [pt.pie for pt in superchannel.capacity_curves("two_symbol", None, grid)],
+    "two_symbol": lambda grid, ms: superchannel.capacity_curves("two_symbol", None, grid) / grid,
 }
 
 
@@ -121,7 +122,7 @@ def cmd_limits(args):
     _check_m(args.m_max, "m-max")
     m_range = range(1, args.m_max + 1)
     columns = [grid] + [LIMIT_COLUMNS[fam](grid, m_range) for fam in families]
-    payload = _csv(["nbar"] + families, ([float(v) for v in row] for row in zip(*columns)))
+    payload = _csv(["nbar"] + families, columns)
     params = {"nbar_min": args.nbar_min, "nbar_max": args.nbar_max,
               "points": args.points, "families": families, "m_max": args.m_max}
     return _emit(payload, params, "limits", None, args.out)
@@ -137,11 +138,10 @@ def cmd_tradeoff(args):
     if not 0 < args.nr_min < args.nr_max < np.inf or args.points < 2:
         raise SystemExit2("need 0 < nr-min < nr-max < inf and points >= 2")
     grid = np.geomspace(args.nr_min, args.nr_max, args.points)
-    rows = []
-    for modes in modes_list:
-        for pt in capacity_limits.tradeoff_curve(modes, grid):
-            rows.append([pt.modes, pt.n_r, pt.spectral_efficiency, pt.pie])
-    payload = _csv(["modes", "n_r", "spectral_efficiency", "pie"], rows)
+    se, pie = np.concatenate([capacity_limits.tradeoff_curve(modes, grid)
+                              for modes in modes_list], axis=1)
+    payload = _csv(["modes", "n_r", "spectral_efficiency", "pie"],
+                   [np.repeat(modes_list, len(grid)), np.tile(grid, len(modes_list)), se, pie])
     params = {"modes_list": modes_list, "nr_min": args.nr_min,
               "nr_max": args.nr_max, "points": args.points}
     return _emit(payload, params, "tradeoff", None, args.out)
@@ -154,18 +154,18 @@ def cmd_superchannel(args):
         raise SystemExit2(f"family {args.family} requires --m")
     try:
         if args.family == "two_symbol":
+            i2, c1 = superchannel.two_symbol_ratio_curve(grid, args.receiver)
             header = ["nbar", "bits_per_symbol", "pie", "c1", "ratio"]
-            rows = [[pt.nbar, pt.i2, pt.i2 / pt.nbar, pt.c1, pt.ratio]
-                    for pt in superchannel.two_symbol_ratio_curve(grid, args.receiver)]
+            columns = [grid, i2, i2 / grid, c1, i2 / c1]
         else:
+            bits = superchannel.capacity_curves(args.family, args.m, grid)
             header = ["nbar", "bits_per_symbol", "pie"]
-            rows = [[pt.nbar, pt.bits_per_symbol, pt.pie]
-                    for pt in superchannel.capacity_curves(args.family, args.m, grid)]
+            columns = [grid, bits, bits / grid]
     except ValueError as exc:
         raise SystemExit2(str(exc))
     params = {"family": args.family, "m": args.m, "receiver": args.receiver,
               "nbar_min": args.nbar_min, "nbar_max": args.nbar_max, "points": args.points}
-    return _emit(payload=_csv(header, rows), manifest_params=params,
+    return _emit(payload=_csv(header, columns), manifest_params=params,
                  subcommand="superchannel", seed=None, out_path=args.out)
 
 
@@ -183,14 +183,12 @@ def cmd_ber(args):
     if seed is None:
         seed = int(np.random.SeedSequence().generate_state(1)[0])
         sys.stderr.write(f"generated seed: {seed}\n")
-    rows = []
-    for i, nbar in enumerate(grid):
-        uncoded = uncoded_bpsk_ber(nbar)
-        dr = hadamard_dr_ber(args.m, nbar, args.trials, _child_seed(seed, i))
-        jdr = hadamard_jdr_ber(args.m, nbar)
-        rows.append([float(nbar), uncoded.ber, dr.ber, dr.stderr, jdr.ber])
+    dr = [hadamard_dr_ber(args.m, nbar, args.trials, _child_seed(seed, i))
+          for i, nbar in enumerate(grid)]
+    columns = [grid, [uncoded_bpsk_ber(nbar).ber for nbar in grid], [pt.ber for pt in dr],
+               [pt.stderr for pt in dr], [hadamard_jdr_ber(args.m, nbar).ber for nbar in grid]]
     payload = _csv(["nbar", "uncoded_dr", "hadamard_dr", "hadamard_dr_stderr",
-                    "hadamard_jdr"], rows)
+                    "hadamard_jdr"], columns)
     params = {"m": args.m, "nbar_min": args.nbar_min, "nbar_max": args.nbar_max,
               "points": args.points, "trials": args.trials}
     return _emit(payload, params, "ber", seed, args.out)

@@ -26,11 +26,6 @@ def xlog2(x):
     return out
 
 
-def entropy_bits(p):
-    """Shannon entropy H(p) in bits of a probability vector (unnormalized ok)."""
-    return float(-np.sum(xlog2(p)))
-
-
 def binary_entropy(q):
     """H_b(q) in bits, stable near q = 0 and q = 1.
 

@@ -60,9 +60,15 @@ class ModeCount(NamedTuple):
 
 
 def fresnel_number(params):
-    """Fresnel number product D_f = A_t A_r / (lambda L)^2."""
-    return params.tx_aperture_area * params.rx_aperture_area / (
+    """Fresnel number product D_f = A_t A_r / (lambda L)^2.
+
+    Raises OverflowError when the areas' product overflows a double.
+    """
+    df = params.tx_aperture_area * params.rx_aperture_area / (
         params.wavelength * params.range) ** 2
+    if not math.isfinite(df):
+        raise OverflowError("Fresnel number product overflows a double")
+    return df
 
 
 def mode_count(params):
@@ -102,11 +108,14 @@ def required_modes(pie_target, se_target):
 def power_and_rate(params, pie):
     """Received optical power (W) and data rate (bit/s) at a given PIE.
 
-    power = N_R (hc/lambda) slot_rate, rate = PIE N_R slot_rate.
+    power = N_R (hc/lambda) slot_rate, rate = PIE N_R slot_rate. Raises
+    OverflowError when either overflows a double.
     """
     if pie < 0:
         raise ValueError(f"PIE must be >= 0, got {pie}")
     photon_energy = PLANCK * LIGHT_SPEED / params.wavelength
     power = params.n_r * photon_energy * params.slot_rate
     rate = pie * params.n_r * params.slot_rate
+    if not (math.isfinite(power) and math.isfinite(rate)):
+        raise OverflowError(f"power {power} W or rate {rate} bit/s overflows a double")
     return power, rate

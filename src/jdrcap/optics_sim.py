@@ -125,22 +125,20 @@ def hadamard_jdr_channel(m, nbar):
 def rm_gm_jdr_channel(m, nbar):
     """RM(1,m) superchannel: 2^{m+1} inputs, 2^{m+1} + 1 outputs.
 
-    The Green Machine stage is simulated to locate each codeword's pulse
-    position and phase sign; the post-click statistics (first SPD to click
-    hands the pulse remainder to a Dolinar receiver) enter through the
-    outcome probabilities p+, p-, p0 of the closed-form model.
+    The Green Machine stage is simulated at unit amplitude to locate each
+    codeword's pulse position and phase sign, which do not depend on nbar;
+    the post-click statistics (first SPD to click hands the pulse remainder
+    to a Dolinar receiver) enter through the outcome probabilities p+, p-,
+    p0 of the closed-form model.
     """
     p_plus, p_minus, p0 = rm_gm_outcome_probs(m, nbar)
     code = rm1_code(m)
     K = code.size
     n_modes = 2 ** m
     k = np.arange(K)
-    if nbar == 0:
-        pos, negative = k % n_modes, k >= n_modes
-    else:
-        out = green_machine(code.amplitudes(np.sqrt(nbar)))
-        pos = np.argmax(np.abs(out), axis=1)
-        negative = out[k, pos].real < 0
+    out = green_machine(code.amplitudes(1.0))
+    pos = np.argmax(np.abs(out), axis=1)
+    negative = out[k, pos].real < 0
     rows = np.zeros((K, K + 1))
     rows[k, pos + n_modes * negative] = p_plus
     rows[k, pos + n_modes * ~negative] = p_minus

@@ -9,12 +9,10 @@ the mutual information (and, for the MPE receiver, solves the measurement)
 for the whole grid in one stacked array call.
 """
 
-from typing import NamedTuple
-
 import numpy as np
 
 from . import discrimination, optics_sim
-from .capacity_limits import CLOSED_FORMS, CapacityPoint, c1_bpsk_dolinar
+from .capacity_limits import CLOSED_FORMS, c1_bpsk_dolinar
 from .codes import two_symbol_code
 from .dmc import ConvergenceError, DiscreteChannel
 from .entropy import xlog2
@@ -27,7 +25,6 @@ __all__ = [
     "prior_scan_max",
     "two_symbol_ratio_curve",
     "capacity_curves",
-    "RatioPoint",
 ]
 
 
@@ -121,26 +118,20 @@ def prior_scan_max(fn, lo=0.0, hi=0.5, resolution=33):
     return best_x, best_val
 
 
-class RatioPoint(NamedTuple):
-    nbar: float
-    i2: float
-    c1: float
-    ratio: float
-
-
 def _prior_family(p):
     """The two-symbol priors (1-2p, p, p) along a new last axis."""
     return np.stack([1.0 - 2.0 * p, p, p], axis=-1)
 
 
 def two_symbol_ratio_curve(nbar_grid, receiver="structured"):
-    """I2/C1 superadditivity ratio of the two-symbol receivers along a grid.
+    """I2 and C1 of the two-symbol superadditivity ratio I2/C1 along a grid.
 
     I2 is the best per-symbol mutual information of the (2,3,1)
     superchannel over the prior family (1-2p, p, p); for the MPE receiver
     the measurement is re-optimized for each prior before the mutual
     information is evaluated. One prior scan covers the whole grid: each
-    of its steps is one array computation over every nbar.
+    of its steps is one array computation over every nbar. Returns the
+    arrays (i2, c1), aligned with the grid; the ratio is i2 / c1.
     """
     nbar_grid = np.asarray(nbar_grid, dtype=float)
     if nbar_grid.size == 0 or np.any(nbar_grid <= 0):
@@ -168,20 +159,16 @@ def two_symbol_ratio_curve(nbar_grid, receiver="structured"):
     else:
         raise ValueError(f"unknown receiver {receiver!r}; use 'structured' or 'mpe'")
     _, i2 = prior_scan_max(value, 0.0, 0.5, 33)
-    c1 = c1_bpsk_dolinar(nbar_grid)
-    return [RatioPoint(nbar=float(nb), i2=float(v), c1=float(c), ratio=float(v) / float(c))
-            for nb, v, c in zip(nbar_grid, i2, c1)]
+    return i2, c1_bpsk_dolinar(nbar_grid)
 
 
 def capacity_curves(family, m, nbar_grid, receiver="structured"):
-    """Per-symbol capacity and PIE of one receiver family along an nbar grid."""
+    """Bits per symbol of one receiver family along an nbar grid, as an array."""
     nbar_grid = np.asarray(nbar_grid, dtype=float)
     if np.any(nbar_grid <= 0):
         raise ValueError("PIE curves need positive nbar")
     if family == "two_symbol":
-        return [CapacityPoint(nbar=pt.nbar, bits_per_symbol=pt.i2, pie=pt.i2 / pt.nbar,
-                              label=f"two_symbol_{receiver}")
-                for pt in two_symbol_ratio_curve(nbar_grid, receiver)]
+        return two_symbol_ratio_curve(nbar_grid, receiver)[0]
     try:
         cap = CLOSED_FORMS[family]
     except KeyError:
@@ -190,7 +177,4 @@ def capacity_curves(family, m, nbar_grid, receiver="structured"):
         )
     if m is None:
         raise ValueError(f"family {family!r} needs a code-size parameter m")
-    bits = cap(m, nbar_grid)
-    return [CapacityPoint(nbar=float(nbar), bits_per_symbol=float(b), pie=float(pie),
-                          label=f"{family}_m{m}")
-            for nbar, b, pie in zip(nbar_grid, bits, bits / nbar_grid)]
+    return cap(m, nbar_grid)

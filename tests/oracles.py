@@ -69,6 +69,23 @@ def _xlog2_mp(x):
     return x * mp.log(x, 2) if x > 0 else mp.mpf(0)
 
 
+def g_mp(nbar, dps=700):
+    """g(n) = (1+n)log2(1+n) - n log2(n) as written, at ``dps`` digits: 700
+    keep the 1 of 1 + n up to n = 1e300, so the cancellation costs nothing."""
+    with mp.workdps(dps):
+        n = mp.mpf(nbar)
+        return _xlog2_mp(1 + n) - _xlog2_mp(n)
+
+
+def c1_dolinar_mp(nbar, dps=700):
+    """C1 = 1 - H_b(q), q = [1 - sqrt(1 - e^{-4n})]/2, as written, at ``dps``
+    digits: down to n = 1e-300, where C1 ~ 3e-300, 700 leave 380 to spare."""
+    with mp.workdps(dps):
+        n = mp.mpf(nbar)
+        q = (1 - mp.sqrt(1 - mp.exp(-4 * n))) / 2
+        return 1 + _xlog2_mp(q) + _xlog2_mp(1 - q)
+
+
 def rm_gm_mp(m, nbar, dps=40):
     """RM(1,m) Green Machine capacity in mpmath, from f_mp and explicit entropies."""
     with mp.workdps(dps):

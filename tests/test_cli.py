@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jdrcap import cli
 
@@ -255,6 +260,19 @@ class TestLink:
 
 
 class TestNumericalFailure:
+    @pytest.mark.parametrize("argv", [
+        # the received power overflows a double
+        ["link", "--wavelength", "1.55e-6", "--range", "1000", "--radii", "0.07",
+         "--slot-rate", "1e200", "--pie", "1", "--se", "1e300"],
+        # inf / inf: the Fresnel number product is NaN
+        ["link", "--wavelength", "1e200", "--range", "1e200", "--areas", "1e200",
+         "--slot-rate", "1e-300", "--pie", "1e-300", "--se", "1e-300"],
+    ])
+    def test_link_overflow_exits_3(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 3 and out == ""
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("error", [
         ArithmeticError("measurement rows sum to 1 +- 1e-06, beyond 1e-08"),
         ZeroDivisionError("float division by zero"),
@@ -292,3 +310,75 @@ class TestDeterminism:
         ma = json.loads((tmp_path / "x.csv.manifest.json").read_text())
         mb = json.loads((tmp_path / "y.csv.manifest.json").read_text())
         assert ma["output_sha256"] == mb["output_sha256"]
+
+
+# argument values at and beyond the documented edges, as the shell passes them;
+# valid values come three times as often as invalid ones, so that most
+# command lines get past parsing and into the numerics
+VALID_FLOATS = ("0.5", "1e-300", "1e-3", "2", "1e200", "1e300")
+EDGE_FLOATS = VALID_FLOATS * 3 + ("0", "-1", "nan", "inf", "-inf")
+VALID_RANGES = (("1e-3", "2"), ("1e-300", "1e-3"), ("1e-300", "1e300"), ("0.5", "1e300"),
+                ("2", "1e200"), ("1e200", "1e300"))
+EDGE_RANGES = VALID_RANGES * 3 + (("0", "1"), ("-1", "2"), ("nan", "1"), ("1", "inf"),
+                                  ("-inf", "1"), ("2", "1e-3"), ("0.5", "0.5"))
+EDGE_POINTS = ("2", "3") * 3 + ("-1", "0", "1")
+EDGE_M = tuple(str(m) for m in range(12))
+
+
+@st.composite
+def cli_argv(draw, sub):
+    """One command line of subcommand ``sub``; grids hold at most 3 points."""
+    edge = lambda values: draw(st.sampled_from(values))  # noqa: E731
+    (lo, hi), points = edge(EDGE_RANGES), edge(EDGE_POINTS)
+    grid = ["--nbar-min", lo, "--nbar-max", hi, "--points", points]
+    if sub == "limits":
+        families = edge((None, "two_symbol", "ultimate,c1_dolinar", "rm_gm_envelope", "bogus"))
+        return (["limits", "--m-max", edge(EDGE_M)] + grid
+                + ([] if families is None else ["--families", families]))
+    if sub == "tradeoff":
+        modes = edge(("1,189", "1", "0", "-1", "2,x", "1" + "0" * 400))
+        return ["tradeoff", "--modes-list", modes, "--nr-min", lo, "--nr-max", hi,
+                "--points", points]
+    if sub == "superchannel":
+        m = edge((None,) + EDGE_M)
+        family = edge(("hadamard_jdr", "rm_gm", "rm_mpe", "two_symbol"))
+        return (["superchannel", "--family", family,
+                 "--receiver", edge(("structured", "mpe"))] + grid
+                + ([] if m is None else ["--m", m]))
+    if sub == "ber":
+        return (["ber", "--m", edge(EDGE_M), "--trials", edge(("10000",) * 3 + ("9999", "-1")),
+                 "--seed", edge(("0", "7") * 3 + ("-1",))] + grid)
+    return ["link", "--wavelength", edge(EDGE_FLOATS), "--range", edge(EDGE_FLOATS),
+            edge(("--radii", "--areas")), edge(EDGE_FLOATS + ("0.07,1e300", "1,2,3")),
+            "--slot-rate", edge(EDGE_FLOATS), "--pie", edge(EDGE_FLOATS),
+            "--se", edge(EDGE_FLOATS)]
+
+
+def emitted_numbers(argv, out):
+    if argv[0] == "link":
+        return [v for v in json.loads(out).values() if not isinstance(v, str)]
+    return [float(v) for line in out.strip().split("\n")[1:] for v in line.split(",")]
+
+
+class TestContractProperty:
+    """The documented CLI contract over every subcommand's edge arguments:
+    exit 0, 2 or 3 with no traceback, nothing on stdout with a usage error,
+    and only finite numbers in a successful output."""
+
+    @pytest.mark.parametrize("sub", ["limits", "tradeoff", "superchannel", "ber", "link"])
+    @given(data=st.data())
+    @settings(max_examples=100, derandomize=True, database=None)
+    def test_exit_codes_and_outputs(self, sub, data):
+        argv = data.draw(cli_argv(sub))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert out.getvalue() == ""
+        if code == 0:
+            assert all(map(math.isfinite, emitted_numbers(argv, out.getvalue())))

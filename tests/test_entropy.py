@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jdrcap.entropy import binary_entropy, entropy_bits, xlog2
+from jdrcap.entropy import binary_entropy, xlog2
 
 
 def test_xlog2_convention_at_zero():
     assert xlog2(0.0) == 0.0
-    assert entropy_bits([1.0, 0.0, 0.0]) == 0.0
 
 
 def test_xlog2_rejects_negative():
@@ -48,7 +47,3 @@ def test_binary_entropy_known_values():
     assert binary_entropy(0.0) == 0.0
     assert binary_entropy(1.0) == 0.0
 
-
-@given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8))
-def test_entropy_no_nan_for_probability_vectors(ps):
-    assert np.isfinite(entropy_bits(ps))

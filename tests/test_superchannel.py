@@ -146,20 +146,21 @@ class TestPriorScanMax:
 class TestTwoSymbolRatioCurve:
     def test_structured_peak_matches_receiver_gain(self):
         grid = np.geomspace(1e-3, 2.0, 40)
-        pts = sc.two_symbol_ratio_curve(grid, receiver="structured")
-        best = max(p.ratio for p in pts)
+        i2, c1 = sc.two_symbol_ratio_curve(grid, receiver="structured")
+        best = max(i2 / c1)
         assert best == pytest.approx(1.0249, abs=0.003)
 
     def test_mpe_peak(self):
         grid = np.geomspace(1e-3, 2.0, 25)
-        pts = sc.two_symbol_ratio_curve(grid, receiver="mpe")
-        best = max(p.ratio for p in pts)
+        i2, c1 = sc.two_symbol_ratio_curve(grid, receiver="mpe")
+        best = max(i2 / c1)
         assert best == pytest.approx(1.0266, abs=0.003)
 
     def test_superadditivity_exists_then_dies(self):
-        pts = sc.two_symbol_ratio_curve(np.geomspace(1e-3, 5.0, 30))
-        assert any(p.ratio > 1.0 for p in pts)      # joint detection wins somewhere
-        assert pts[-1].ratio < 1.0                  # large nbar: DR wins
+        i2, c1 = sc.two_symbol_ratio_curve(np.geomspace(1e-3, 5.0, 30))
+        ratio = i2 / c1
+        assert any(ratio > 1.0)                     # joint detection wins somewhere
+        assert ratio[-1] < 1.0                      # large nbar: DR wins
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
@@ -167,37 +168,35 @@ class TestTwoSymbolRatioCurve:
 
     def test_mpe_where_the_states_nearly_merge(self):
         nbar = 1e-6
-        (pt,) = sc.two_symbol_ratio_curve([nbar], "mpe")
-        i2 = pt.i2
+        (i2,), _ = sc.two_symbol_ratio_curve([nbar], "mpe")
         assert 0.0 < i2 <= holevo_bpsk(nbar)
 
 
 class TestCapacityCurves:
     def test_hadamard_points_match_closed_form(self):
         grid = np.geomspace(1e-5, 1.0, 15)
-        pts = sc.capacity_curves("hadamard_jdr", 4, grid)
-        for nbar, pt in zip(grid, pts):
-            assert pt.bits_per_symbol == pytest.approx(
-                hadamard_jdr_capacity(4, nbar), abs=1e-12)
+        bits = sc.capacity_curves("hadamard_jdr", 4, grid)
+        for nbar, b in zip(grid, bits, strict=True):
+            assert b == pytest.approx(hadamard_jdr_capacity(4, nbar), abs=1e-12)
 
     def test_rm_gm_pie_saturates_to_m(self):
         for m in (1, 4, 7, 10):
-            (pt,) = sc.capacity_curves("rm_gm", m, [1e-7])
-            assert pt.pie == pytest.approx(m, rel=0.01)
+            (bits,) = sc.capacity_curves("rm_gm", m, [1e-7])
+            assert bits / 1e-7 == pytest.approx(m, rel=0.01)
 
     def test_rm_mpe_low_nbar_pie(self):
-        (pt,) = sc.capacity_curves("rm_mpe", 3, [1e-7])
-        assert pt.pie == pytest.approx(2.0 / LN2, rel=0.01)
+        (bits,) = sc.capacity_curves("rm_mpe", 3, [1e-7])
+        assert bits / 1e-7 == pytest.approx(2.0 / LN2, rel=0.01)
 
     def test_families_below_holevo(self):
         grid = np.geomspace(1e-5, 1.0, 12)
         for family, m in (("hadamard_jdr", 3), ("rm_gm", 3), ("rm_mpe", 3)):
-            for pt in sc.capacity_curves(family, m, grid):
-                assert pt.bits_per_symbol <= holevo_bpsk(pt.nbar) + 1e-12
+            bits = sc.capacity_curves(family, m, grid)
+            assert np.all(bits <= holevo_bpsk(grid) + 1e-12)
 
     def test_two_symbol_beats_c1_at_low_nbar(self):
-        (pt,) = sc.capacity_curves("two_symbol", None, [1e-3])
-        assert pt.bits_per_symbol > c1_bpsk_dolinar(1e-3)
+        (bits,) = sc.capacity_curves("two_symbol", None, [1e-3])
+        assert bits > c1_bpsk_dolinar(1e-3)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
@@ -243,7 +242,7 @@ class TestTwoSymbolCurveRows:
     @pytest.mark.parametrize("receiver", ["structured", "mpe"])
     def test_points_match_one_point_curves(self, receiver):
         grid = np.geomspace(1e-3, 2.0, 6)
-        curve = sc.two_symbol_ratio_curve(grid, receiver)
-        for nbar, pt in zip(grid, curve):
-            (alone,) = sc.two_symbol_ratio_curve([nbar], receiver)
-            assert pt == alone
+        i2, c1 = sc.two_symbol_ratio_curve(grid, receiver)
+        for k, nbar in enumerate(grid):
+            (i2_alone,), (c1_alone,) = sc.two_symbol_ratio_curve([nbar], receiver)
+            assert (i2[k], c1[k]) == (i2_alone, c1_alone)
