@@ -4,7 +4,8 @@ Three schemes: uncoded symbols on the Dolinar receiver (analytic), the
 (2^m - 1, 2^m, 2^{m-1}) Hadamard code detected symbol-by-symbol by Dolinar
 receivers then ML-decoded (Monte Carlo), and the same code on the Green
 Machine joint receiver (analytic, with erasures resolved by a uniformly
-random codeword guess since a raw BER plot admits no outer code).
+random codeword guess since a raw BER plot admits no outer code). The two
+analytic curves take a scalar nbar or a whole nbar array.
 
 Monte Carlo runs stream from numpy's counter-based Philox generator keyed by
 the recorded 64-bit seed, so identical (m, nbar, trials, seed) reproduce the
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity_limits import _photons, dolinar_error_q
+from .capacity_limits import _float_or_array, _photons, dolinar_error_q
 from .codes import hadamard_code, ml_decode_hard
 
 # Trials per message draw. It fixes the draw order, so changing it changes
@@ -42,28 +43,25 @@ _BLOCK_WORDS = 1 << 17
 
 @dataclass(frozen=True)
 class BerPoint:
-    """One bit-error-rate sample; analytic points carry trials = 0."""
+    """One Monte Carlo bit-error-rate estimate with its bit counts."""
 
-    nbar: float
     ber: float
-    scheme: str
     trials: int
-    seed: int | None = None
-    bit_errors: int = 0
-    total_bits: int = 0
+    bit_errors: int
+    total_bits: int
 
     @property
     def stderr(self):
-        """Binomial standard error of the estimate (0 for analytic points)."""
-        if self.total_bits == 0:
-            return 0.0
+        """Binomial standard error of the estimate."""
         return float(np.sqrt(self.ber * (1.0 - self.ber) / self.total_bits))
 
 
 def uncoded_bpsk_ber(nbar):
-    """Dolinar-receiver BER of a bare BPSK symbol: q(nbar), exact."""
-    return BerPoint(nbar=float(nbar), ber=float(dolinar_error_q(nbar)),
-                    scheme="uncoded_dr", trials=0)
+    """Dolinar-receiver BER of a bare BPSK symbol: q(nbar), exact.
+
+    A scalar nbar gives a float, an array an array aligned with it.
+    """
+    return dolinar_error_q(nbar)
 
 
 def flip_cut(q):
@@ -102,8 +100,7 @@ def hadamard_dr_ber(m, nbar, trials, seed):
             decoded = ml_decode_hard(code, codewords[block] ^ (words < cut))
             bit_errors += int(np.bitwise_count(block ^ decoded).sum())
     total_bits = trials * m
-    return BerPoint(nbar=float(nbar), ber=bit_errors / total_bits, scheme="hadamard_dr",
-                    trials=int(trials), seed=int(seed), bit_errors=bit_errors,
+    return BerPoint(ber=bit_errors / total_bits, trials=trials, bit_errors=bit_errors,
                     total_bits=total_bits)
 
 
@@ -111,17 +108,11 @@ def hadamard_jdr_ber(m, nbar):
     """Exact message-bit BER of the Hadamard code on the Green Machine receiver.
 
     A click identifies the codeword exactly; an erasure (probability
-    e^{-2^m nbar}) forces a uniformly random codeword guess. The expected
-    wrong-bit fraction of the guess is enumerated over the code's message
-    labeling rather than assumed.
+    e^{-2^m nbar}) forces a uniformly random codeword guess. Message labels
+    are the m-bit codeword indices, and over all pairs of labels the mean
+    popcount(i ^ j) is m/2, so the guess gets half the bits wrong and the
+    BER is e^{-2^m nbar} / 2. A scalar nbar gives a float, an array an array.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    nbar = _photons(nbar)
-    K = 2 ** m
-    idx = np.arange(K)
-    pair_popcounts = np.bitwise_count(idx[:, None] ^ idx[None, :])
-    guess_error_fraction = pair_popcounts.mean() / m
-    p_erase = np.exp(-(2 ** m) * nbar)
-    return BerPoint(nbar=float(nbar), ber=float(p_erase * guess_error_fraction),
-                    scheme="hadamard_jdr", trials=0)
+    return _float_or_array(0.5 * np.exp(-(2 ** m) * _photons(nbar)))

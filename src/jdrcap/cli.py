@@ -133,8 +133,8 @@ def cmd_tradeoff(args):
         modes_list = [int(tok) for tok in args.modes_list.split(",")]
     except ValueError:
         raise SystemExit2(f"bad --modes-list {args.modes_list!r}")
-    if min(modes_list) < 1:
-        raise SystemExit2("need every mode count >= 1")
+    if min(modes_list) < 1 or max(modes_list) > sys.float_info.max:
+        raise SystemExit2("need every mode count >= 1 and within the range of a double")
     if not 0 < args.nr_min < args.nr_max < np.inf or args.points < 2:
         raise SystemExit2("need 0 < nr-min < nr-max < inf and points >= 2")
     grid = np.geomspace(args.nr_min, args.nr_max, args.points)
@@ -185,8 +185,8 @@ def cmd_ber(args):
         sys.stderr.write(f"generated seed: {seed}\n")
     dr = [hadamard_dr_ber(args.m, nbar, args.trials, _child_seed(seed, i))
           for i, nbar in enumerate(grid)]
-    columns = [grid, [uncoded_bpsk_ber(nbar).ber for nbar in grid], [pt.ber for pt in dr],
-               [pt.stderr for pt in dr], [hadamard_jdr_ber(args.m, nbar).ber for nbar in grid]]
+    columns = [grid, uncoded_bpsk_ber(grid), [pt.ber for pt in dr], [pt.stderr for pt in dr],
+               hadamard_jdr_ber(args.m, grid)]
     payload = _csv(["nbar", "uncoded_dr", "hadamard_dr", "hadamard_dr_stderr",
                     "hadamard_jdr"], columns)
     params = {"m": args.m, "nbar_min": args.nbar_min, "nbar_max": args.nbar_max,

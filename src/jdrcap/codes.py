@@ -149,32 +149,31 @@ def fwht(v, normalized=False):
 
 
 def ml_decode_hard(code, received):
-    """Maximum-likelihood (minimum Hamming distance) hard decoding.
+    """Maximum-likelihood (minimum Hamming distance) hard decoding of a
+    Hadamard or RM(1,m) code; other code families raise ValueError.
 
     ``received`` is one word (n,), decoded to an int, or a batch (..., n),
-    decoded to an index array. Hadamard/RM codes decode by the FWHT y of the
-    0/1 word, zero-padded at the front to 2^m modes where the pilot
-    coordinate was deleted. Every row but the all-zero row 0 has weight
-    2^{m-1}, so the distance to row j, less 2^{m-1}, is y_j for j > 0 and
-    y_0 - 2^{m-1} for j = 0; an RM(1,m) complement row (distance n - d_j)
-    has the negated value.
-    Other codes fall back to brute force over all codewords. Ties break to
+    decoded to an index array, by the FWHT y of the 0/1 word, zero-padded
+    at the front to 2^m modes where the pilot coordinate was deleted. Every
+    row but the all-zero row 0 has weight 2^{m-1}, so the distance to row j,
+    less 2^{m-1}, is y_j for j > 0 and y_0 - 2^{m-1} for j = 0; an RM(1,m)
+    complement row (distance n - d_j) has the negated value. Ties break to
     the smallest index.
     """
+    if code.family not in ("hadamard", "rm1"):
+        raise ValueError(f"no ML decoder for the {code.family} code; "
+                         "only hadamard and rm1 codes decode")
     received = np.asarray(received)
     if received.ndim == 0 or received.shape[-1] != code.n:
         raise ValueError(f"received length {received.shape} != block length {code.n}")
-    if code.family in ("hadamard", "rm1"):
-        modes = code.size if code.family == "hadamard" else code.n
-        s = np.zeros(received.shape[:-1] + (modes,), dtype=np.float32)
-        s[..., modes - code.n:] = received
-        # distances minus 2^{m-1}: exact integers in float32, same argmin
-        dist = fwht(s)
-        dist[..., 0] -= modes // 2
-        if code.family == "rm1":
-            dist = np.concatenate([dist, -dist], axis=-1)
-    else:
-        dist = np.sum(code.codewords != received[..., None, :].astype(np.uint8), axis=-1)
+    modes = code.size if code.family == "hadamard" else code.n
+    s = np.zeros(received.shape[:-1] + (modes,), dtype=np.float32)
+    s[..., modes - code.n:] = received
+    # distances minus 2^{m-1}: exact integers in float32, same argmin
+    dist = fwht(s)
+    dist[..., 0] -= modes // 2
+    if code.family == "rm1":
+        dist = np.concatenate([dist, -dist], axis=-1)
     decoded = np.argmin(dist, axis=-1)
     return int(decoded) if received.ndim == 1 else decoded
 

@@ -82,8 +82,8 @@ class MpeResult:
     success_trace: tuple
 
 
-def gram_from_code(code, nbar):
-    """Coherent-state Gram matrix of a BPSK codebook, uniform priors.
+def _code_grams(code, nbar):
+    """Coherent-state Gram matrices (..., K, K) of a BPSK codebook at each nbar.
 
     Two codewords at Hamming distance h have overlap e^{-2 nbar h}, the
     product of the per-symbol overlaps <alpha|-alpha> = e^{-2 nbar}.
@@ -91,9 +91,13 @@ def gram_from_code(code, nbar):
     nbar = _photons(nbar)
     cw = code.codewords
     dist = np.count_nonzero(cw[:, None, :] != cw[None, :, :], axis=2)
-    G = np.exp(-2.0 * nbar * dist)
+    return np.exp(-2.0 * nbar[..., None, None] * dist)
+
+
+def gram_from_code(code, nbar):
+    """The ensemble of a BPSK codebook at one nbar, uniform priors; see _code_grams."""
     priors = np.full(code.size, 1.0 / code.size)
-    return PureStateEnsemble(gram=G, priors=priors)
+    return PureStateEnsemble(gram=_code_grams(code, nbar), priors=priors)
 
 
 def sqrtm_psd(M):

@@ -22,7 +22,6 @@ class LinkParams:
     """Geometry and rate parameters of a line-of-sight FSO link.
 
     Apertures are areas in m^2; ``from_radii`` converts circular radii.
-    Per-mode transmissivity defaults to the near-field value 1.
     """
 
     wavelength: float
@@ -31,23 +30,25 @@ class LinkParams:
     rx_aperture_area: float
     slot_rate: float
     n_r: float = 0.0
-    modes: int = 1
-    transmissivity: float = 1.0
 
     def __post_init__(self):
         for name in ("wavelength", "range", "tx_aperture_area", "rx_aperture_area",
                      "slot_rate"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
-        if self.n_r < 0 or self.modes < 1 or not 0 < self.transmissivity <= 1:
-            raise ValueError("invalid photon budget, mode count, or transmissivity")
+        if self.n_r < 0:
+            raise ValueError("photon budget n_r must be >= 0")
 
     @classmethod
     def from_radii(cls, wavelength, range, tx_radius, rx_radius, slot_rate, **kw):
-        return cls(wavelength=wavelength, range=range,
-                   tx_aperture_area=math.pi * tx_radius ** 2,
-                   rx_aperture_area=math.pi * rx_radius ** 2,
-                   slot_rate=slot_rate, **kw)
+        """Circular apertures of the given radii; raises OverflowError, naming
+        the aperture area, when pi r^2 overflows a double."""
+        try:
+            tx_area, rx_area = (math.pi * r ** 2 for r in (tx_radius, rx_radius))
+        except OverflowError:
+            raise OverflowError("aperture area pi r^2 overflows a double") from None
+        return cls(wavelength=wavelength, range=range, tx_aperture_area=tx_area,
+                   rx_aperture_area=rx_area, slot_rate=slot_rate, **kw)
 
 
 class ModeCount(NamedTuple):
@@ -62,12 +63,17 @@ class ModeCount(NamedTuple):
 def fresnel_number(params):
     """Fresnel number product D_f = A_t A_r / (lambda L)^2.
 
-    Raises OverflowError when the areas' product overflows a double.
+    Raises OverflowError, naming D_f, when D_f or (lambda L)^2 leaves the
+    range of a double.
     """
-    df = params.tx_aperture_area * params.rx_aperture_area / (
-        params.wavelength * params.range) ** 2
+    try:
+        df = params.tx_aperture_area * params.rx_aperture_area / (
+            params.wavelength * params.range) ** 2
+    except (OverflowError, ZeroDivisionError):
+        df = math.nan
     if not math.isfinite(df):
-        raise OverflowError("Fresnel number product overflows a double")
+        raise OverflowError("Fresnel number product A_t A_r / (lambda L)^2 "
+                            "leaves the range of a double")
     return df
 
 
@@ -79,6 +85,8 @@ def mode_count(params):
     eta ~ D_f instead of ~ 1.
     """
     df = fresnel_number(params)
+    if not math.isfinite(2.0 * df):
+        raise OverflowError(f"mode count 2 D_f overflows a double at D_f = {df:.4g}")
     warning = None
     eta = 1.0
     if df < NEAR_FIELD_MIN_DF:
@@ -96,13 +104,18 @@ def required_modes(pie_target, se_target):
 
     N_R = SE/PIE photons per slot must be spread thin enough that each mode
     runs at the nbar whose ultimate PIE meets the target:
-    M = ceil(N_R / nbar*).
+    M = ceil(N_R / nbar*). Raises OverflowError, naming M, when N_R / nbar*
+    overflows a double.
     """
     if pie_target <= 0 or se_target <= 0:
         raise ValueError("targets must be > 0")
     n_r = se_target / pie_target
     nbar_star = nbar_for_pie(pie_target)
-    return n_r, nbar_star, math.ceil(n_r / nbar_star)
+    modes = n_r / nbar_star
+    if not math.isfinite(modes):
+        raise OverflowError(f"required mode count N_R / nbar* = {n_r:.4g} / {nbar_star:.4g} "
+                            "overflows a double")
+    return n_r, nbar_star, math.ceil(modes)
 
 
 def power_and_rate(params, pie):

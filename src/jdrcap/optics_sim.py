@@ -3,7 +3,8 @@
 Simulates the linear-optics front ends (beam splitters, the Green Machine
 butterfly) acting on mode amplitudes, ideal single-photon detectors, and the
 Dolinar receiver's outcome statistics, and assembles the transition matrices
-of the joint-detection receivers.
+of the joint-detection receivers; the two-symbol receiver's rows come for a
+whole nbar array at once.
 
 Amplitudes are in sqrt(photon) units: |a|^2 is the mean photon number of a
 mode. SPDs are ideal (unit efficiency, no dark counts). The beam-splitter
@@ -41,51 +42,35 @@ def spd_click_prob(a):
     return -np.expm1(-abs(a) ** 2)
 
 
-def dolinar_outcomes(hypothesis_energy, input_state):
-    """P(decide "plus") of a Dolinar receiver set up for +-sqrt(E) hypotheses.
+def _two_symbol_rows(nbar):
+    """Transition rows (..., 3, 4) of the two-symbol receiver at each nbar.
 
-    Only the inputs {plus, minus, vacuum} are supported; the receiver's
-    internal feedback is modeled by its outcome statistics alone. Vacuum is
-    invariant under the sign flip that swaps the two equal-prior hypotheses,
-    so it yields 1/2 by symmetry.
+    The two symbol modes of each (2,3,1) codeword interfere on a 50-50 beam
+    splitter; an SPD watches the sum port and a Dolinar receiver set up for
+    +-sqrt(2 nbar) the difference port. The Dolinar receiver decides "+"
+    with probability 1 - q on a plus pulse and q on a minus pulse, q the
+    Dolinar error at energy 2 nbar; vacuum is invariant under the sign flip
+    that swaps its equal-prior hypotheses, so it decides "+" with
+    probability 1/2. Outputs are SPD click/no-click x DR +/-.
     """
-    if hypothesis_energy < 0:
-        raise ValueError(f"hypothesis energy must be >= 0, got {hypothesis_energy}")
-    q = dolinar_error_q(hypothesis_energy)
-    if input_state == "plus":
-        return 1.0 - q
-    if input_state == "minus":
-        return q
-    if input_state == "vacuum":
-        return 0.5
-    raise ValueError(f"unsupported Dolinar input {input_state!r}; use plus/minus/vacuum")
+    nbar = _photons(nbar)
+    amps = two_symbol_code().amplitudes(np.sqrt(nbar)[..., None, None])
+    sum_port, diff_port = beam_splitter(amps[..., 0], amps[..., 1])
+    click = spd_click_prob(sum_port)
+    q = np.asarray(dolinar_error_q(2.0 * nbar))[..., None]
+    plus = np.where(diff_port > 0, 1.0 - q, np.where(diff_port < 0, q, 0.5))
+    return np.stack([click * plus, click * (1 - plus),
+                     (1 - click) * plus, (1 - click) * (1 - plus)], axis=-1)
 
 
 def two_symbol_receiver_channel(nbar):
-    """Transition matrix of the Fig.-style two-symbol joint receiver.
+    """Transition matrix of the two-symbol joint receiver at one nbar.
 
-    The two symbol modes of each (2,3,1) codeword interfere on a 50-50 beam
-    splitter; an SPD watches the sum port and a Dolinar receiver (hypothesis
-    energy 2 nbar) the difference port. 3 inputs x 4 outputs
-    (SPD click/no-click x DR +/-).
+    3 inputs x 4 outputs (SPD click/no-click x DR +/-); see _two_symbol_rows.
     """
-    nbar = _photons(nbar)
-    code = two_symbol_code()
-    alpha = np.sqrt(nbar)
-    rows = []
-    for amps in code.amplitudes(alpha):
-        sum_port, diff_port = beam_splitter(amps[0], amps[1])
-        p_click = spd_click_prob(sum_port)
-        if abs(diff_port) < 1e-15:
-            dr_input = "vacuum"
-        else:
-            dr_input = "plus" if diff_port.real > 0 else "minus"
-        p_plus = dolinar_outcomes(2.0 * nbar, dr_input)
-        rows.append([p_click * p_plus, p_click * (1 - p_plus),
-                     (1 - p_click) * p_plus, (1 - p_click) * (1 - p_plus)])
     inputs = ("00", "01", "10")
     outputs = ("click:+", "click:-", "noclick:+", "noclick:-")
-    return DiscreteChannel(inputs=inputs, outputs=outputs, p=np.array(rows))
+    return DiscreteChannel(inputs=inputs, outputs=outputs, p=_two_symbol_rows(nbar))
 
 
 def _first_click_rows(click_probs):

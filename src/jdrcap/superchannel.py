@@ -14,7 +14,7 @@ import numpy as np
 from . import discrimination, optics_sim
 from .capacity_limits import CLOSED_FORMS, c1_bpsk_dolinar
 from .codes import two_symbol_code
-from .dmc import ConvergenceError, DiscreteChannel
+from .dmc import ConvergenceError, DiscreteChannel, check_rows
 from .entropy import xlog2
 
 __all__ = [
@@ -138,16 +138,13 @@ def two_symbol_ratio_curve(nbar_grid, receiver="structured"):
         raise ValueError("need a nonempty grid of positive nbar values")
     n = len(nbar_grid)
     if receiver == "structured":
-        channels = np.stack([optics_sim.two_symbol_receiver_channel(nbar).p
-                             for nbar in nbar_grid])[:, None]
+        channels = check_rows(optics_sim._two_symbol_rows(nbar_grid))[:, None]
 
         def value(p):
             return _mutual_information(channels, _prior_family(p)) / 2.0
 
     elif receiver == "mpe":
-        code = two_symbol_code()
-        grams = np.stack([discrimination.gram_from_code(code, nbar).gram
-                          for nbar in nbar_grid])[:, None]
+        grams = discrimination._code_grams(two_symbol_code(), nbar_grid)[:, None]
 
         def value(p):
             priors = _prior_family(np.broadcast_to(p, (n, p.shape[1])))

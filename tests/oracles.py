@@ -141,6 +141,18 @@ def mutual_information_direct(P, priors):
     return total
 
 
+def enumerated_jdr_ber(m, nbar):
+    """Green Machine message-bit BER with the erasure guess enumerated.
+
+    An erasure, probability e^{-2^m nbar}, is resolved by a uniform guess
+    among the 2^m codewords; its expected wrong-bit fraction is the mean of
+    popcount(i ^ j) / m over every pair of message labels.
+    """
+    idx = np.arange(2 ** m)
+    guess_error_fraction = np.bitwise_count(idx[:, None] ^ idx[None, :]).mean() / m
+    return np.exp(-(2 ** m) * np.asarray(nbar, dtype=float)) * guess_error_fraction
+
+
 def exhaustive_dr_ber(m, nbar):
     """Exact message-bit BER of Dolinar-detected Hadamard code, ML decoded.
 

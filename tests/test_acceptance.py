@@ -168,7 +168,7 @@ def test_criterion_10_fig4b_ber_orderings():
     details = []
     ordering_ok = True
     for i, nbar in enumerate(grid):
-        jdr = ber_sim.hadamard_jdr_ber(m, nbar).ber
+        jdr = ber_sim.hadamard_jdr_ber(m, nbar)
         trials = 10 ** 6 if nbar > 4e-2 else 2 * 10 ** 5
         dr = ber_sim.hadamard_dr_ber(m, nbar, trials=trials, seed=seed + i)
         if dr.bit_errors > 0:
@@ -182,7 +182,7 @@ def test_criterion_10_fig4b_ber_orderings():
         ordering_ok = ordering_ok and point_ok
 
     uncoded_ok = all(
-        ber_sim.uncoded_bpsk_ber(nbar).ber == cl.dolinar_error_q(nbar)
+        ber_sim.uncoded_bpsk_ber(nbar) == cl.dolinar_error_q(nbar)
         for nbar in grid)
 
     enumeration_ok = True

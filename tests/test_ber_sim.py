@@ -4,23 +4,23 @@ import pytest
 from jdrcap import ber_sim
 from jdrcap.capacity_limits import dolinar_error_q
 
-from oracles import exhaustive_dr_ber, plain_dr_ber_bit_errors
+from oracles import enumerated_jdr_ber, exhaustive_dr_ber, plain_dr_ber_bit_errors
 
 
 class TestUncodedBpsk:
     def test_maximally_confused_at_zero(self):
-        pt = ber_sim.uncoded_bpsk_ber(0.0)
-        assert pt.ber == 0.5
-        assert pt.trials == 0 and pt.stderr == 0.0
+        ber = ber_sim.uncoded_bpsk_ber(0.0)
+        assert type(ber) is float and ber == 0.5
 
     def test_matches_dolinar_q(self):
-        for nbar in np.geomspace(1e-4, 3.0, 10):
-            assert ber_sim.uncoded_bpsk_ber(nbar).ber == dolinar_error_q(nbar)
+        grid = np.geomspace(1e-4, 3.0, 10)
+        for nbar in grid:
+            assert ber_sim.uncoded_bpsk_ber(nbar) == dolinar_error_q(nbar)
+        assert np.array_equal(ber_sim.uncoded_bpsk_ber(grid), dolinar_error_q(grid))
 
     def test_strictly_decreasing(self):
-        grid = np.geomspace(1e-3, 1.0, 15)
-        bers = [ber_sim.uncoded_bpsk_ber(n).ber for n in grid]
-        assert all(a > b for a, b in zip(bers, bers[1:]))
+        bers = ber_sim.uncoded_bpsk_ber(np.geomspace(1e-3, 1.0, 15))
+        assert np.all(np.diff(bers) < 0)
 
 
 class TestHadamardDrBer:
@@ -117,12 +117,11 @@ class TestFlipCut:
 
 class TestHadamardJdrBer:
     def test_bright_limit(self):
-        assert ber_sim.hadamard_jdr_ber(8, 10.0).ber == pytest.approx(0.0, abs=1e-300)
+        assert ber_sim.hadamard_jdr_ber(8, 10.0) == pytest.approx(0.0, abs=1e-300)
 
     def test_erasure_always_at_zero(self):
         # balanced labeling: uniform guess is wrong on half the message bits
-        pt = ber_sim.hadamard_jdr_ber(4, 0.0)
-        assert pt.ber == pytest.approx(0.5, abs=1e-15)
+        assert ber_sim.hadamard_jdr_ber(4, 0.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="photon number"):
@@ -131,13 +130,20 @@ class TestHadamardJdrBer:
     def test_analytic_form(self):
         for m, nbar in ((3, 0.01), (8, 0.02)):
             expected = 0.5 * np.exp(-(2 ** m) * nbar)
-            assert ber_sim.hadamard_jdr_ber(m, nbar).ber == pytest.approx(
+            assert ber_sim.hadamard_jdr_ber(m, nbar) == pytest.approx(
                 expected, rel=1e-12)
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_matches_enumerated_guess_bit_for_bit(self, m):
+        grid = np.concatenate([[0.0], np.geomspace(1e-6, 10.0, 49)])
+        ber = ber_sim.hadamard_jdr_ber(m, grid)
+        assert np.array_equal(ber, enumerated_jdr_ber(m, grid))
+        assert [ber_sim.hadamard_jdr_ber(m, nbar) for nbar in grid] == ber.tolist()
 
     def test_jdr_below_dr_in_resolvable_range(self):
         # ordering on the sub-range where 2e5 trials resolve the DR curve;
         # the acceptance suite covers the full Fig.-4(b)-style span
         for nbar in (1e-3, 5e-3, 2e-2):
-            jdr = ber_sim.hadamard_jdr_ber(8, nbar).ber
+            jdr = ber_sim.hadamard_jdr_ber(8, nbar)
             dr = ber_sim.hadamard_dr_ber(8, nbar, trials=5 * 10 ** 4, seed=7).ber
             assert jdr < dr

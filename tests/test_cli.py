@@ -107,6 +107,14 @@ class TestTradeoff:
             cli.main(["tradeoff", "--modes-list", "0"])
         assert excinfo.value.code == 2
 
+    def test_mode_count_beyond_a_double_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["tradeoff", "--modes-list", "1" + "0" * 400, "--points", "2"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestSuperchannel:
     def test_rm_gm_family_pie_saturation(self, capsys):
@@ -272,6 +280,23 @@ class TestNumericalFailure:
         code, out, err = run(capsys, argv)
         assert code == 3 and out == ""
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags,quantity", [
+        # (lambda L)^2 overflows, then underflows to 0
+        (["--wavelength", "1e100", "--range", "1e100"], "Fresnel number product"),
+        (["--wavelength", "1e-100", "--range", "1e-100"], "Fresnel number product"),
+        # N_R = SE / PIE overflows
+        (["--pie", "1e-300", "--se", "1e300"], "required mode count"),
+        # pi r^2 overflows
+        (["--radii", "1e300"], "aperture area"),
+    ])
+    def test_link_failure_names_the_quantity(self, capsys, flags, quantity):
+        argv = list(TestLink.ARGS)
+        for flag, value in zip(flags[::2], flags[1::2]):
+            argv[argv.index(flag) + 1] = value
+        code, out, err = run(capsys, argv)
+        assert code == 3 and out == ""
+        assert err.startswith(f"numerical failure: {quantity}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("error", [
         ArithmeticError("measurement rows sum to 1 +- 1e-06, beyond 1e-08"),

@@ -203,7 +203,6 @@ SMALL_CODES = pytest.mark.parametrize("make", [
     lambda: codes.hadamard_code(3),
     lambda: codes.hadamard_code(3, with_ancilla=True),
     lambda: codes.rm1_code(3),
-    codes.two_symbol_code,
     lambda: codes.hadamard_code(1),
     lambda: codes.hadamard_code(1, with_ancilla=True),
 ])
@@ -250,6 +249,11 @@ class TestMlDecodeHard:
         received = np.array(bits, dtype=np.uint8)
         assert codes.ml_decode_hard(code, received) == brute_force_ml(
             code.codewords, received)
+
+    def test_rejects_other_code_families(self):
+        code = codes.two_symbol_code()
+        with pytest.raises(ValueError, match="two_symbol"):
+            codes.ml_decode_hard(code, code.codewords[0])
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -53,6 +53,16 @@ class TestGramFromCode:
         G2 = np.exp(-2 * 0.1 * dist)
         assert np.allclose(G2, ens.gram[np.ix_(perm, perm)], atol=1e-15)
 
+    @pytest.mark.parametrize("make", [two_symbol_code, lambda: hadamard_code(3),
+                                      lambda: rm1_code(2)])
+    def test_grid_grams_match_per_point_bit_for_bit(self, make):
+        code = make()
+        grid = np.concatenate([[0.0], np.geomspace(1e-6, 10.0, 39)])
+        grams = disc._code_grams(code, grid)
+        assert grams.shape == (len(grid), code.size, code.size)
+        for k, nbar in enumerate(grid):
+            assert np.array_equal(grams[k], disc.gram_from_code(code, nbar).gram)
+
 
 class TestSqrtmPsd:
     def test_identity(self):

@@ -90,23 +90,24 @@ class TestSpdClickProb:
 
 
 class TestDolinarOutcomes:
+    """The Dolinar receiver on the difference port, read off the rows of
+    codewords 01 and 10 (sum port dark, difference port +-sqrt(2 nbar)) and
+    of codeword 00 (difference port in vacuum)."""
+
     def test_zero_energy_guess(self):
-        assert opt.dolinar_outcomes(0.0, "plus") == 0.5
+        rows = opt._two_symbol_rows(0.0)
+        assert np.all(rows[:, 0] + rows[:, 2] == 0.5)
 
     def test_matches_error_formula(self):
         for energy in (0.01, 0.2, 3.0):
-            assert opt.dolinar_outcomes(energy, "plus") == pytest.approx(
-                1.0 - dolinar_error_q(energy), abs=1e-15)
-            assert opt.dolinar_outcomes(energy, "minus") == pytest.approx(
-                dolinar_error_q(energy), abs=1e-15)
+            rows = opt._two_symbol_rows(energy / 2)
+            assert rows[1, 2] == pytest.approx(1.0 - dolinar_error_q(energy), abs=1e-15)
+            assert rows[2, 2] == pytest.approx(dolinar_error_q(energy), abs=1e-15)
 
     def test_vacuum_symmetry(self):
         for energy in (0.0, 0.5, 4.0):
-            assert opt.dolinar_outcomes(energy, "vacuum") == 0.5
-
-    def test_rejects_other_inputs(self):
-        with pytest.raises(ValueError):
-            opt.dolinar_outcomes(1.0, "squeezed")
+            row = opt._two_symbol_rows(energy / 2)[0]
+            assert row[0] == row[1] and row[2] == row[3]
 
 
 class TestTwoSymbolReceiverChannel:
@@ -135,6 +136,13 @@ class TestTwoSymbolReceiverChannel:
         for nbar in (0.0, 1e-4, 0.1, 2.0):
             ch = opt.two_symbol_receiver_channel(nbar)
             assert np.allclose(ch.p.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_grid_rows_match_per_point_channel_bit_for_bit(self):
+        grid = np.concatenate([[0.0], np.geomspace(1e-6, 10.0, 59)])
+        rows = opt._two_symbol_rows(grid)
+        assert rows.shape == (len(grid), 3, 4)
+        for k, nbar in enumerate(grid):
+            assert np.array_equal(rows[k], opt.two_symbol_receiver_channel(nbar).p)
 
 
 class TestHadamardJdrChannel:
