@@ -93,11 +93,19 @@ def hadamard_dr_ber(m, nbar, trials, seed):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed)))
     cut = np.uint64(flip_cut(q))
     bit_errors = 0
+    # one pair of block buffers for the whole run: with fresh arrays per block,
+    # the freed blocks crossed the allocator's trim threshold, and every block
+    # page-faulted its memory in again (a third of the run's time)
+    flips = np.empty((rows, n), dtype=bool)
+    received = np.empty((rows, n), dtype=codewords.dtype)
     for start in range(0, trials, _CHUNK):
         msg = rng.integers(0, K, size=min(_CHUNK, trials - start))
         for block in np.split(msg, range(rows, msg.size, rows)):
-            words = rng.bit_generator.random_raw(block.size * n).reshape(block.size, n)
-            decoded = ml_decode_hard(code, codewords[block] ^ (words < cut))
+            k = block.size
+            np.less(rng.bit_generator.random_raw(k * n).reshape(k, n), cut, out=flips[:k])
+            np.take(codewords, block, axis=0, out=received[:k])
+            received[:k] ^= flips[:k]
+            decoded = ml_decode_hard(code, received[:k])
             bit_errors += int(np.bitwise_count(block ^ decoded).sum())
     total_bits = trials * m
     return BerPoint(ber=bit_errors / total_bits, trials=trials, bit_errors=bit_errors,

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__, capacity_limits, superchannel
 from .ber_sim import hadamard_dr_ber, hadamard_jdr_ber, uncoded_bpsk_ber
 from .dmc import ConvergenceError
-from .link_budget import LinkParams, fresnel_number, mode_count, power_and_rate, required_modes
+from .link_budget import LinkParams, mode_count, power_and_rate, required_modes
 
 
 @dataclass(frozen=True)
@@ -223,7 +223,7 @@ def cmd_link(args):
     counted = mode_count(params)
     power, rate = power_and_rate(params, args.pie)
     report = {
-        "fresnel_number": fresnel_number(params),
+        "fresnel_number": counted.fresnel_number,
         "mode_count": counted.modes,
         "n_r": n_r,
         "nbar_star": nbar_star,

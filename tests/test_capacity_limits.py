@@ -15,6 +15,7 @@ from oracles import c1_dolinar_mp, f_mp, g_mp, gauss_legendre_f, rm_gm_mp, rm_mp
 HOLEVO_BPSK_AT_0P1 = 0.43858456767415076
 F_AT_1 = 0.28114373604616659
 PAPER_NBAR_STAR = 2.6582e-3
+EPS = np.finfo(float).eps   # one ulp of 1.0
 
 # f(b) check grid; b = 2^m nbar in [15.8, 25] is where adaptive quadrature
 # of the integral was off by up to 1.4e-8
@@ -213,6 +214,14 @@ class TestFIntegral:
 
     def test_saturation(self):
         assert cl.f_integral(50.0) == pytest.approx(0.5, abs=1e-6)
+        assert cl.f_integral(np.inf) == 0.5
+
+    def test_quad_is_loaded_only_on_lookup(self):
+        # the benchmark's tracer still counts calls through capacity_limits.quad
+        from scipy.integrate import quad
+        assert cl.quad is quad
+        with pytest.raises(AttributeError):
+            cl.no_such_name
 
     def test_dual_quadrature_oracle_at_one(self):
         adaptive = cl.f_integral(1.0)
@@ -256,6 +265,30 @@ class TestFIntegral:
             taylor = mp.taylor(lambda b: f_mp(b, mp.mp.dps) / b ** mp.mpf(1.5),
                                mp.mpf(10) ** -30, len(cl._F_SERIES) - 1, direction=1)
         assert cl._F_SERIES == pytest.approx([float(c) for c in taylor], rel=1e-15)
+
+
+class TestCarlsonRfRd:
+    # f(b) calls the kernel at x = a^2 in [0, 1], y = 1 - s^2/2 in [1/2, 1], z = 1
+    X_GRID = np.concatenate([[0.0, 5e-324, 1e-300, 1e-30, 1e-10],
+                             np.exp(-2.0 * np.geomspace(1e-3, 60.0, 30)), [1.0]])
+    Y_GRID = np.linspace(0.5, 1.0, 11)
+
+    def test_matches_mpmath_within_4_ulp_relative(self):
+        x, y = np.meshgrid(self.X_GRID, self.Y_GRID)
+        rf, rd = cl._carlson_rf_rd(x, y, 1.0)
+        with mp.workdps(40):
+            for xi, yi, f, d in zip(x.flat, y.flat, rf.flat, rd.flat, strict=True):
+                for got, want in ((f, mp.elliprf(xi, yi, 1)), (d, mp.elliprd(xi, yi, 1))):
+                    assert abs(got - want) <= 4 * EPS * want, (xi, yi)
+
+    def test_carlson_published_values(self):
+        # test values that Carlson (1995) lists to 14 decimals
+        rf, rd = cl._carlson_rf_rd(2.0, 3.0, 4.0)
+        assert rf == pytest.approx(0.58408284167715, abs=5e-15)
+        assert rd == pytest.approx(0.16510527294261, abs=5e-15)
+        with mp.workdps(40):
+            assert abs(rf - mp.elliprf(2, 3, 4)) <= 4 * EPS * rf
+            assert abs(rd - mp.elliprd(2, 3, 4)) <= 4 * EPS * rd
 
 
 class TestHadamardJdrCapacity:

@@ -2,6 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -407,3 +411,13 @@ class TestContractProperty:
             assert out.getvalue() == ""
         if code == 0:
             assert all(map(math.isfinite, emitted_numbers(argv, out.getvalue())))
+
+
+def test_import_loads_no_scipy():
+    # scipy took about half a second of every cold start; the package needs numpy alone
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = ("import sys, jdrcap.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
