@@ -30,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity_limits import _float_or_array, _photons, dolinar_error_q
+from .capacity_limits import _photons, dolinar_error_q
 from .codes import hadamard_code, ml_decode_hard
+from .entropy import _float_or_array
 
 # Trials per message draw. It fixes the draw order, so changing it changes
 # every seeded estimate.

@@ -12,7 +12,7 @@ are pure and safe for concurrent evaluation.
 
 import numpy as np
 
-from .entropy import LN2, binary_entropy, xlog2
+from .entropy import LN2, _float_or_array, binary_entropy, xlog2
 
 
 class ConsistencyError(ArithmeticError):
@@ -25,10 +25,6 @@ def _photons(x, strict=False):
     if not np.all(x > 0 if strict else x >= 0):
         raise ValueError(f"photon number must be {'> 0' if strict else '>= 0'}, got {x}")
     return x
-
-
-def _float_or_array(x):
-    return float(x) if np.ndim(x) == 0 else x
 
 
 def g(nbar):

@@ -13,7 +13,6 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -21,20 +20,6 @@ from . import __version__, capacity_limits, superchannel
 from .ber_sim import hadamard_dr_ber, hadamard_jdr_ber, uncoded_bpsk_ber
 from .dmc import ConvergenceError
 from .link_budget import LinkParams, mode_count, power_and_rate, required_modes
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record accompanying every output file."""
-
-    subcommand: str
-    parameters: dict
-    seed: int | None
-    version: str = __version__
-    output_sha256: str = field(default="")
-
-    def to_json(self):
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 def _fmt(x):
@@ -53,17 +38,19 @@ def _csv(header, columns):
 
 
 def _emit(payload, manifest_params, subcommand, seed, out_path):
-    digest = hashlib.sha256(payload.encode()).hexdigest()
-    manifest = RunManifest(subcommand=subcommand, parameters=manifest_params,
-                           seed=seed, output_sha256=digest)
+    """Write the payload and its reproducibility manifest."""
+    manifest = json.dumps({"subcommand": subcommand, "parameters": manifest_params,
+                           "seed": seed, "version": __version__,
+                           "output_sha256": hashlib.sha256(payload.encode()).hexdigest()},
+                          indent=2, sort_keys=True) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(payload)
         with open(out_path + ".manifest.json", "w") as fh:
-            fh.write(manifest.to_json())
+            fh.write(manifest)
     else:
         sys.stdout.write(payload)
-        sys.stderr.write(manifest.to_json())
+        sys.stderr.write(manifest)
     return 0
 
 

@@ -12,20 +12,13 @@ import numpy as np
 
 @dataclass(frozen=True, eq=False)
 class BinaryCode:
-    """An (n, K, d) binary code with an optional message-bit labeling.
-
-    ``codewords`` is the K x n bit matrix. For the Hadamard and Reed-Muller
-    families the message labeling is affine: message bits big-endian select
-    the codeword index (for RM the leading bit is the complement bit), so
-    the message distance between indices i, j is popcount(i ^ j).
-    """
+    """An (n, K, d) binary code; ``codewords`` is the K x n bit matrix."""
 
     n: int
     size: int
     d: int
     codewords: np.ndarray = field(repr=False)
     family: str = "generic"
-    message_bits: int | None = None
 
     def __post_init__(self):
         cw = np.ascontiguousarray(self.codewords, dtype=np.uint8)
@@ -33,28 +26,6 @@ class BinaryCode:
             raise ValueError(f"codeword matrix shape {cw.shape} != ({self.size}, {self.n})")
         cw.setflags(write=False)
         object.__setattr__(self, "codewords", cw)
-
-    def message_to_index(self, bits):
-        """Map message bits (length message_bits, big-endian) to a codeword index."""
-        if self.message_bits is None:
-            raise ValueError(f"{self.family} code has no message labeling")
-        bits = np.asarray(bits)
-        if bits.shape != (self.message_bits,):
-            raise ValueError(f"expected {self.message_bits} message bits, got {bits.shape}")
-        weights = 1 << np.arange(self.message_bits - 1, -1, -1)
-        return int(np.dot(bits.astype(np.int64), weights))
-
-    def index_to_message(self, k):
-        """Inverse of message_to_index."""
-        if self.message_bits is None:
-            raise ValueError(f"{self.family} code has no message labeling")
-        if not 0 <= k < self.size:
-            raise ValueError(f"codeword index {k} out of range")
-        return (k >> np.arange(self.message_bits - 1, -1, -1)) & 1
-
-    def encode(self, bits):
-        """Encode message bits to a codeword row."""
-        return self.codewords[self.message_to_index(bits)]
 
     def amplitudes(self, alpha):
         """BPSK mode amplitudes of every codeword: bit 0 -> +alpha, bit 1 -> -alpha."""
@@ -85,17 +56,15 @@ def hadamard_code(m, with_ancilla=False):
     bits = ((1 - sylvester_hadamard(m)) // 2).astype(np.uint8)
     if not with_ancilla:
         bits = bits[:, 1:]
-    K = 2 ** m
-    return BinaryCode(n=bits.shape[1], size=K, d=2 ** (m - 1), codewords=bits,
-                      family="hadamard", message_bits=m)
+    return BinaryCode(n=bits.shape[1], size=2 ** m, d=2 ** (m - 1), codewords=bits,
+                      family="hadamard")
 
 
 def rm1_code(m):
     """The (2^m, 2^{m+1}, 2^{m-1}) first-order Reed-Muller code RM(1,m).
 
     The Hadamard code with the pilot coordinate, appended with all codewords
-    bit-flipped. Message bits (u0, u1..um) map to u0*1 xor Hadamard row
-    u1..um, so the first 2^m codewords are the Hadamard rows and the rest
+    bit-flipped: the first 2^m codewords are the Hadamard rows and the rest
     their complements.
     """
     if m < 1:
@@ -103,15 +72,14 @@ def rm1_code(m):
     had = hadamard_code(m, with_ancilla=True).codewords
     bits = np.vstack([had, 1 - had])
     d = 1 if m == 1 else 2 ** (m - 1)
-    return BinaryCode(n=2 ** m, size=2 ** (m + 1), d=d, codewords=bits,
-                      family="rm1", message_bits=m + 1)
+    return BinaryCode(n=2 ** m, size=2 ** (m + 1), d=d, codewords=bits, family="rm1")
 
 
 def two_symbol_code():
     """The nonlinear (2, 3, 1) inner code {00, 01, 10}.
 
     Symbol order matches the two-mode state set {|aa>, |a,-a>, |-a,a>}; the
-    all-ones word is excluded. No message labeling (used for capacity only).
+    all-ones word is excluded; the code is used for capacity only.
     """
     bits = np.array([[0, 0], [0, 1], [1, 0]], dtype=np.uint8)
     return BinaryCode(n=2, size=3, d=1, codewords=bits, family="two_symbol")
@@ -177,9 +145,3 @@ def ml_decode_hard(code, received):
     decoded = np.argmin(dist, axis=-1)
     return int(decoded) if received.ndim == 1 else decoded
 
-
-def dump_codebook(code):
-    """Plain-text codebook: header line 'n K d', one 0/1 codeword per line."""
-    lines = [f"{code.n} {code.size} {code.d}"]
-    lines.extend("".join(str(int(b)) for b in row) for row in code.codewords)
-    return "\n".join(lines) + "\n"

@@ -67,10 +67,6 @@ class PureStateEnsemble:
         object.__setattr__(self, "gram", G)
         object.__setattr__(self, "priors", p)
 
-    @property
-    def size(self):
-        return self.gram.shape[0]
-
 
 @dataclass(frozen=True)
 class MpeResult:
@@ -149,19 +145,13 @@ def _stochastic_rows(rows, tol=1e-8):
     return rows / sums
 
 
-def _channel(rows):
-    """The K-state DiscreteChannel of stochastic measurement rows."""
-    labels = tuple(f"s{i}" for i in range(len(rows)))
-    return DiscreteChannel(inputs=labels, outputs=labels, p=rows)
-
-
 def srm_channel(ensemble):
     """Transition matrix of the square-root measurement, the weighted SRM at w = p.
 
     With Ghat_ij = sqrt(p_i p_j) G_ij, P(j|i) = (Ghat^{1/2})_ij^2 / p_i;
     zero-prior rows are uniform.
     """
-    return _channel(_stochastic_rows(_srm_rows(ensemble.gram, ensemble.priors)))
+    return DiscreteChannel(_stochastic_rows(_srm_rows(ensemble.gram, ensemble.priors)))
 
 
 def helstrom_binary(overlap_sq, p1, p2):
@@ -190,7 +180,7 @@ class MpeStack(NamedTuple):
     def result(self, i):
         """Member i as an MpeResult."""
         return MpeResult(success_probability=float(self.success[i]),
-                         channel=_channel(self.rows[i]),
+                         channel=DiscreteChannel(self.rows[i]),
                          iterations=int(self.iterations[i]),
                          success_trace=tuple(self.trace_value[self.trace_member == i].tolist()))
 

@@ -40,34 +40,22 @@ def check_rows(p):
 
 @dataclass(frozen=True, eq=False)
 class DiscreteChannel:
-    """Row-stochastic transition matrix with labeled input/output symbols.
+    """Row-stochastic transition matrix ``p[i, j]`` = P(output j | input i).
 
-    ``p[i, j]`` is the probability of output ``outputs[j]`` given input
-    ``inputs[i]``. Outputs may include an erasure label; it is an ordinary
-    output symbol, never merged or randomly resolved here.
+    An erasure is an ordinary output column, never merged or randomly
+    resolved here.
     """
 
-    inputs: tuple
-    outputs: tuple
     p: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
-        if p.shape != (len(self.inputs), len(self.outputs)):
-            raise ValueError(
-                f"transition matrix shape {p.shape} does not match "
-                f"{len(self.inputs)} inputs x {len(self.outputs)} outputs"
-            )
+        if p.ndim != 2:
+            raise ValueError(f"transition matrix must be 2-D, got shape {p.shape}")
         p = check_rows(p)
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
 
     @property
     def num_inputs(self):
-        return len(self.inputs)
-
-    @property
-    def num_outputs(self):
-        return len(self.outputs)
+        return len(self.p)

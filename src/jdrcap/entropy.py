@@ -9,6 +9,11 @@ import numpy as np
 LN2 = float(np.log(2.0))
 
 
+def _float_or_array(x):
+    """A 0-d result as a Python float, any other as the array itself."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def xlog2(x):
     """x*log2(x) with the limit convention xlog2(0) = 0.
 
@@ -21,9 +26,7 @@ def xlog2(x):
     nz = x > 0
     np.log2(x, where=nz, out=out)
     out *= x
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _float_or_array(out)
 
 
 def binary_entropy(q):
@@ -38,6 +41,4 @@ def binary_entropy(q):
     inner = (q > 0.0) & (q < 1.0)
     q = np.where(inner, q, 0.5)
     h = np.where(inner, -q * np.log2(q) - (1.0 - q) * np.log1p(-q) / LN2, 0.0)
-    if h.ndim == 0:
-        return float(h)
-    return h
+    return _float_or_array(h)

@@ -56,7 +56,6 @@ class ModeCount(NamedTuple):
 
     modes: int
     fresnel_number: float
-    eta_per_mode: float
     regime_warning: str | None
 
 
@@ -81,22 +80,18 @@ def mode_count(params):
     """Orthogonal spatio-polarization mode pairs, ~ 2 D_f in the near field.
 
     Below D_f = 10 the near-field counting is unreliable; the result then
-    carries a far-field warning and the per-mode transmissivity estimate
-    eta ~ D_f instead of ~ 1.
+    carries a far-field warning.
     """
     df = fresnel_number(params)
     if not math.isfinite(2.0 * df):
         raise OverflowError(f"mode count 2 D_f overflows a double at D_f = {df:.4g}")
     warning = None
-    eta = 1.0
     if df < NEAR_FIELD_MIN_DF:
         warning = (
             f"D_f = {df:.4g} < {NEAR_FIELD_MIN_DF:g}: not in the near field; "
             "2 D_f mode counting is unreliable and per-mode transmissivity ~ D_f"
         )
-        eta = min(df, 1.0)
-    return ModeCount(modes=round(2.0 * df), fresnel_number=df,
-                     eta_per_mode=eta, regime_warning=warning)
+    return ModeCount(modes=round(2.0 * df), fresnel_number=df, regime_warning=warning)
 
 
 def required_modes(pie_target, se_target):

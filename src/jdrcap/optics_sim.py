@@ -68,9 +68,7 @@ def two_symbol_receiver_channel(nbar):
 
     3 inputs x 4 outputs (SPD click/no-click x DR +/-); see _two_symbol_rows.
     """
-    inputs = ("00", "01", "10")
-    outputs = ("click:+", "click:-", "noclick:+", "noclick:-")
-    return DiscreteChannel(inputs=inputs, outputs=outputs, p=_two_symbol_rows(nbar))
+    return DiscreteChannel(_two_symbol_rows(nbar))
 
 
 def _first_click_rows(click_probs):
@@ -97,14 +95,9 @@ def hadamard_jdr_channel(m, nbar):
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     nbar = _photons(nbar)
-    code = hadamard_code(m, with_ancilla=True)
-    K = code.size
-    out = green_machine(code.amplitudes(np.sqrt(nbar)))
+    out = green_machine(hadamard_code(m, with_ancilla=True).amplitudes(np.sqrt(nbar)))
     pos_probs, erase = _first_click_rows(spd_click_prob(np.abs(out)))
-    rows = np.column_stack([pos_probs, erase])
-    inputs = tuple(f"cw{k}" for k in range(K))
-    outputs = tuple(f"pos{j}" for j in range(K)) + ("erasure",)
-    return DiscreteChannel(inputs=inputs, outputs=outputs, p=rows)
+    return DiscreteChannel(np.column_stack([pos_probs, erase]))
 
 
 def rm_gm_jdr_channel(m, nbar):
@@ -128,6 +121,4 @@ def rm_gm_jdr_channel(m, nbar):
     rows[k, pos + n_modes * negative] = p_plus
     rows[k, pos + n_modes * ~negative] = p_minus
     rows[:, K] = p0
-    inputs = tuple(f"cw{k}" for k in range(K))
-    outputs = tuple(f"cw{j}" for j in range(K)) + ("erasure",)
-    return DiscreteChannel(inputs=inputs, outputs=outputs, p=rows)
+    return DiscreteChannel(rows)

@@ -14,19 +14,8 @@ import numpy as np
 from . import discrimination, optics_sim
 from .capacity_limits import CLOSED_FORMS, c1_bpsk_dolinar
 from .codes import two_symbol_code
-from .dmc import ConvergenceError, DiscreteChannel, check_rows
+from .dmc import ConvergenceError, check_rows
 from .entropy import xlog2
-
-__all__ = [
-    "DiscreteChannel",
-    "ConvergenceError",
-    "mutual_information",
-    "capacity_blahut_arimoto",
-    "prior_scan_max",
-    "two_symbol_ratio_curve",
-    "capacity_curves",
-]
-
 
 def mutual_information(channel, priors):
     """I(X;Y) in bits for the given input distribution."""

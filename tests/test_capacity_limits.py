@@ -202,8 +202,7 @@ class TestC1Dolinar:
         from jdrcap.superchannel import capacity_blahut_arimoto
         for nbar in (0.01, 0.1, 0.5):
             q = cl.dolinar_error_q(nbar)
-            bsc = DiscreteChannel(("0", "1"), ("0", "1"),
-                                  np.array([[1 - q, q], [q, 1 - q]]))
+            bsc = DiscreteChannel(np.array([[1 - q, q], [q, 1 - q]]))
             cap, _ = capacity_blahut_arimoto(bsc, tol=1e-13)
             assert cl.c1_bpsk_dolinar(nbar) == pytest.approx(cap, abs=1e-9)
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jdrcap
 from jdrcap import cli
 
 
@@ -232,6 +234,18 @@ class TestLink:
         assert report["rate_bps"] == 1e9
         assert report["n_r"] == 0.5
         assert "regime_warning" not in report
+
+    def test_manifest_bytes(self, capsys, tmp_path):
+        out = tmp_path / "link.json"
+        assert cli.main(self.ARGS + ["--out", str(out)]) == 0
+        payload = out.read_text()
+        params = {"wavelength": 1.55e-6, "range": 1000.0, "radii": "0.07", "areas": None,
+                  "slot_rate": 2e8, "pie": 10.0, "se": 5.0}
+        want = json.dumps({"subcommand": "link", "parameters": params, "seed": None,
+                           "version": jdrcap.__version__,
+                           "output_sha256": hashlib.sha256(payload.encode()).hexdigest()},
+                          indent=2, sort_keys=True) + "\n"
+        assert Path(f"{out}.manifest.json").read_text() == want
 
     def test_far_field_warning_exit_zero(self, capsys):
         argv = ["link", "--wavelength", "1.55e-6", "--range", "1.0",

@@ -26,6 +26,7 @@ class TestHadamardCode:
     def test_small_parameters(self):
         code = codes.hadamard_code(2)
         assert (code.n, code.size, code.d) == (3, 4, 2)
+        assert code.codewords.tolist() == [[0, 0, 0], [1, 0, 1], [0, 1, 1], [1, 1, 0]]
         d = pairwise_distances(code.codewords)
         assert np.all(d[~np.eye(4, dtype=bool)] == 2)
 
@@ -73,15 +74,6 @@ class TestRm1Code:
         assert np.array_equal(rm[: 2 ** m], had)
         assert np.array_equal(rm[2 ** m:], 1 - had)
 
-    def test_message_labeling_affine(self):
-        code = codes.rm1_code(2)
-        # u0 = complement bit, u1..um select the Hadamard row
-        for k in range(code.size):
-            msg = code.index_to_message(k)
-            assert code.message_to_index(msg) == k
-        assert np.array_equal(code.encode(np.array([1, 0, 0])),
-                              1 - code.encode(np.array([0, 0, 0])))
-
 
 class TestTwoSymbolCode:
     def test_parameters(self):
@@ -96,10 +88,6 @@ class TestTwoSymbolCode:
     def test_distances(self):
         cw = codes.two_symbol_code().codewords
         assert np.count_nonzero(cw[0] != cw[1]) == 1
-
-    def test_no_message_labeling(self):
-        with pytest.raises(ValueError):
-            codes.two_symbol_code().message_to_index([0, 1])
 
 
 class TestFwht:
@@ -258,11 +246,3 @@ class TestMlDecodeHard:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             codes.ml_decode_hard(codes.hadamard_code(2), np.zeros(5, dtype=np.uint8))
-
-
-class TestDumpCodebook:
-    def test_format(self):
-        text = codes.dump_codebook(codes.hadamard_code(2))
-        lines = text.strip().split("\n")
-        assert lines[0] == "3 4 2"
-        assert lines[1:] == ["000", "101", "011", "110"]

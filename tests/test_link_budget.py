@@ -48,7 +48,6 @@ class TestModeCount:
         assert out.fresnel_number == pytest.approx(100.0)
         assert out.modes == 200
         assert out.regime_warning is None
-        assert out.eta_per_mode == 1.0
 
     def test_paper_link_supports_required_modes(self):
         out = lb.mode_count(paper_link())
@@ -60,7 +59,6 @@ class TestModeCount:
                           rx_aperture_area=1e-4, slot_rate=1.0)
         out = lb.mode_count(p)
         assert out.regime_warning is not None
-        assert out.eta_per_mode == pytest.approx(out.fresnel_number)
 
 
 class TestRequiredModes:

@@ -17,23 +17,21 @@ from oracles import bec_capacity, bsc_capacity, mutual_information_direct
 
 
 def bsc(q):
-    return DiscreteChannel(("0", "1"), ("0", "1"),
-                           np.array([[1 - q, q], [q, 1 - q]]))
+    return DiscreteChannel(np.array([[1 - q, q], [q, 1 - q]]))
 
 
 def bec(eps):
-    return DiscreteChannel(("0", "1"), ("0", "e", "1"),
-                           np.array([[1 - eps, eps, 0.0], [0.0, eps, 1 - eps]]))
+    return DiscreteChannel(np.array([[1 - eps, eps, 0.0], [0.0, eps, 1 - eps]]))
 
 
 class TestMutualInformation:
     def test_identity_channel(self):
-        ch = DiscreteChannel(tuple("abcd"), tuple("abcd"), np.eye(4))
+        ch = DiscreteChannel(np.eye(4))
         assert sc.mutual_information(ch, np.full(4, 0.25)) == pytest.approx(2.0)
 
     def test_constant_output(self):
         p = np.tile([0.3, 0.7], (3, 1))
-        ch = DiscreteChannel(("a", "b", "c"), ("0", "1"), p)
+        ch = DiscreteChannel(p)
         assert sc.mutual_information(ch, np.full(3, 1 / 3)) == pytest.approx(0.0, abs=1e-15)
 
     def test_bsc_closed_form(self):
@@ -45,7 +43,7 @@ class TestMutualInformation:
         rng = np.random.default_rng(0)
         p = rng.random((4, 5))
         p /= p.sum(axis=1, keepdims=True)
-        ch = DiscreteChannel(tuple("abcd"), tuple("vwxyz"), p)
+        ch = DiscreteChannel(p)
         priors = np.array([0.1, 0.2, 0.3, 0.4])
         assert sc.mutual_information(ch, priors) == pytest.approx(
             mutual_information_direct(p, priors), abs=1e-12)
@@ -90,8 +88,7 @@ class TestBlahutArimoto:
     def test_max_iter_reports_bracket(self):
         # asymmetric Z-channel: uniform priors are not optimal, so the
         # bracket cannot close within two iterations
-        z = DiscreteChannel(("0", "1"), ("0", "1"),
-                            np.array([[1.0, 0.0], [0.5, 0.5]]))
+        z = DiscreteChannel(np.array([[1.0, 0.0], [0.5, 0.5]]))
         with pytest.raises(ConvergenceError) as excinfo:
             sc.capacity_blahut_arimoto(z, tol=1e-300, max_iter=2)
         err = excinfo.value
@@ -206,20 +203,25 @@ class TestCapacityCurves:
 class TestChannelValidation:
     def test_rejects_non_stochastic(self):
         with pytest.raises(ValueError):
-            DiscreteChannel(("a",), ("x", "y"), np.array([[0.6, 0.5]]))
+            DiscreteChannel(np.array([[0.6, 0.5]]))
 
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
-            DiscreteChannel(("a",), ("x", "y"), np.array([[1.1, -0.1]]))
+            DiscreteChannel(np.array([[1.1, -0.1]]))
 
     @pytest.mark.parametrize("p", [[[np.nan, 1.0]], [[0.5, 0.5], [np.nan, np.nan]]])
     def test_rejects_nan_entries(self, p):
         with pytest.raises(ValueError):
-            DiscreteChannel(tuple("ab")[: len(p)], ("x", "y"), np.array(p))
+            DiscreteChannel(np.array(p))
+
+    @pytest.mark.parametrize("p", [np.array([0.5, 0.5]), np.full((2, 2, 2), 0.5)])
+    def test_rejects_non_matrix(self, p):
+        with pytest.raises(ValueError, match="2-D"):
+            DiscreteChannel(p)
 
     def test_erasure_is_first_class(self):
         ch = bec(0.25)
-        assert "e" in ch.outputs
+        assert ch.p[:, 1].tolist() == [0.25, 0.25]    # the erasure column, kept as is
         cap, _ = sc.capacity_blahut_arimoto(ch, tol=1e-12)
         assert cap == pytest.approx(0.75, abs=1e-9)
 
@@ -233,7 +235,7 @@ class TestStackedMutualInformation:
         r /= r.sum(axis=-1, keepdims=True)
         stacked = sc._mutual_information(P, r)
         for k in range(4):
-            ch = DiscreteChannel(tuple("abc"), tuple("vwxyz"), P[k])
+            ch = DiscreteChannel(P[k])
             assert stacked[k] == pytest.approx(mutual_information_direct(P[k], r[k]), abs=1e-12)
             assert stacked[k] == sc.mutual_information(ch, r[k])
 
