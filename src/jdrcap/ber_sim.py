@@ -7,21 +7,28 @@ Machine joint receiver (analytic, with erasures resolved by a uniformly
 random codeword guess since a raw BER plot admits no outer code). The two
 analytic curves take a scalar nbar or a whole nbar array.
 
-Monte Carlo runs stream from numpy's counter-based Philox generator keyed by
-the recorded 64-bit seed, so identical (m, nbar, trials, seed) reproduce the
-BerPoint bit for bit and grid points can be simulated independently.
+Monte Carlo runs stream from numpy's default PCG64 generator seeded by
+``SeedSequence(entropy=seed)``, so identical (m, nbar, trials, seed)
+reproduce the BerPoint bit for bit and grid points can be simulated
+independently.
 
 Draw order, part of that contract: trials run in chunks of _CHUNK (the last
 one shorter). Per chunk the generator draws the chunk's messages with
-``integers(0, 2^m, size=batch)``, then batch * n raw 64-bit Philox words,
-which are consumed in order, n per trial: the word for symbol i of trial t
-is the (t*n + i)-th. Symbol i flips when its uniform (word >> 11) * 2^-53,
-the double that ``Generator.random`` makes of the word, is below q. For
-integers k and real x, k < x exactly when k < ceil(x), and q * 2^53 is
-exact, so that test is ``word < ceil(q * 2^53) << 11`` on the raw word. The
-words are read in blocks of about _BLOCK_WORDS, a whole number of trials
-each, so each block is flipped, decoded and counted while it is still in
-cache; the block size does not change which word flips which symbol.
+``integers(0, 2^m, size=batch)``, then ceil(batch * n / 8) raw 64-bit words,
+each read as 8 little-endian bytes: one byte per symbol, n per trial, so the
+byte for symbol i of trial t is the (t*n + i)-th, and the bytes past the
+chunk's last symbol are dropped. With t = 256 q (exact), k = floor(t) and
+f = t - k (exact), symbol i flips when its byte is below k. A byte equal to
+k (one symbol in 256) flips when the next raw word of a second generator,
+seeded by the seed's first spawned child ``SeedSequence``, is below
+``ceil(f * 2^53) << 11``, the cut that ``Generator.random`` puts at f; that
+stream is consumed over the ties in trial-major order across the whole call.
+A flip then has probability k/256 + ceil(f * 2^53) / 2^61 =
+ceil(q * 2^61) / 2^61, which is q to within 2^-61. The bytes are read in
+blocks of a multiple of 8 trials, sized by the decode workspace, so each
+block is a whole number of words and is flipped, decoded and counted while
+it is still in cache; the block size does not change which byte flips which
+symbol.
 """
 
 import math
@@ -31,15 +38,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity_limits import _photons, dolinar_error_q
-from .codes import hadamard_code, ml_decode_hard
+from .codes import _argmin_decode, hadamard_code
 from .entropy import _float_or_array
 
 # Trials per message draw. It fixes the draw order, so changing it changes
 # every seeded estimate.
 _CHUNK = 50000
-# Raw words per decoded block (1 MiB, half of a 2 MiB L2 cache). It only sets
-# how many of a chunk's trials are decoded at a time, and can change freely.
-_BLOCK_WORDS = 1 << 17
+# Float32 entries of the decode workspace per block (512 KiB, a quarter of a
+# 2 MiB L2 cache). It only sets how many of a chunk's trials are decoded at a
+# time, rounded down to a multiple of 8, and can change freely.
+_BLOCK_FLOATS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -66,11 +74,20 @@ def uncoded_bpsk_ber(nbar):
 
 
 def flip_cut(q):
-    """The raw-word threshold of a BSC(q) flip: word < flip_cut(q) iff the
-    word's uniform double is below q, for every q in [0, 1/2]."""
+    """The cut (k, cut) of a BSC(q) flip on one random byte: the symbol flips
+    when its byte is below k, or equals k and the tie's raw word is below cut,
+    with probability ceil(q * 2^61) / 2^61, for every q in [0, 1/2]."""
     if not 0.0 <= q <= 0.5:
         raise ValueError(f"flip probability must lie in [0, 1/2], got {q}")
-    return math.ceil(q * 2.0 ** 53) << 11
+    k = math.floor(256.0 * q)
+    return k, math.ceil((256.0 * q - k) * 2.0 ** 53) << 11
+
+
+def _symbol_bytes(bits, count):
+    """The next ``count`` symbol bytes of a bit generator: ceil(count / 8) raw
+    words, each read as 8 little-endian bytes whatever the platform."""
+    words = bits.random_raw(-(-count // 8))
+    return words.astype("<u8", copy=False).view(np.uint8)[:count]
 
 
 def hadamard_dr_ber(m, nbar, trials, seed):
@@ -85,28 +102,39 @@ def hadamard_dr_ber(m, nbar, trials, seed):
     trials = operator.index(trials)
     if trials < 10 ** 4:
         raise ValueError(f"need at least 1e4 trials for a meaningful estimate, got {trials}")
-    q = dolinar_error_q(nbar)
-    code = hadamard_code(m, with_ancilla=False)
-    codewords = code.codewords
-    K = code.size
-    n = code.n
-    rows = max(1, _BLOCK_WORDS // n)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed)))
-    cut = np.uint64(flip_cut(q))
+    k, cut = flip_cut(dolinar_error_q(nbar))
+    cut = np.uint64(cut)
+    # with the pilot, which is column 0 of the decode's zero-padded words
+    codewords = hadamard_code(m, with_ancilla=True).codewords
+    K = codewords.shape[0]
+    n = K - 1
+    rows = 8 * max(1, _BLOCK_FLOATS // (8 * K))
+    seeds = np.random.SeedSequence(entropy=int(seed))
+    rng = np.random.default_rng(seeds)
+    tie_bits = np.random.default_rng(seeds.spawn(1)[0]).bit_generator
     bit_errors = 0
-    # one pair of block buffers for the whole run: with fresh arrays per block,
-    # the freed blocks crossed the allocator's trim threshold, and every block
-    # page-faulted its memory in again (a third of the run's time)
-    flips = np.empty((rows, n), dtype=bool)
-    received = np.empty((rows, n), dtype=codewords.dtype)
+    # the block buffers and the decode workspace are allocated once per call:
+    # with fresh arrays per block, the freed blocks crossed the allocator's
+    # trim threshold, and every block page-faulted its memory in again. The
+    # pilot column 0 of flips and ties stays False.
+    flips = np.zeros((rows, K), dtype=bool)
+    ties = np.zeros((rows, K), dtype=bool)
+    sent = np.empty((rows, K), dtype=codewords.dtype)
+    padded = np.empty((rows, K), dtype=np.float32)
+    scratch = np.empty_like(padded)
     for start in range(0, trials, _CHUNK):
         msg = rng.integers(0, K, size=min(_CHUNK, trials - start))
         for block in np.split(msg, range(rows, msg.size, rows)):
-            k = block.size
-            np.less(rng.bit_generator.random_raw(k * n).reshape(k, n), cut, out=flips[:k])
-            np.take(codewords, block, axis=0, out=received[:k])
-            received[:k] ^= flips[:k]
-            decoded = ml_decode_hard(code, received[:k])
+            size = block.size
+            symbols = _symbol_bytes(rng.bit_generator, size * n).reshape(size, n)
+            np.less(symbols, k, out=flips[:size, 1:])
+            np.equal(symbols, k, out=ties[:size, 1:])
+            tied = np.flatnonzero(ties[:size])      # row-major, as the contract says
+            flips[:size].reshape(-1)[tied] = tie_bits.random_raw(tied.size) < cut
+            np.take(codewords, block, axis=0, out=sent[:size])
+            # received = sent XOR flips, as the 0/1 floats the decode reads
+            np.not_equal(sent[:size], flips[:size], out=padded[:size])
+            decoded = _argmin_decode(padded[:size], scratch[:size])
             bit_errors += int(np.bitwise_count(block ^ decoded).sum())
     total_bits = trials * m
     return BerPoint(ber=bit_errors / total_bits, trials=trials, bit_errors=bit_errors,

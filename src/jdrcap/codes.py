@@ -5,6 +5,8 @@ Bit convention, fixed project-wide: bit 0 <-> amplitude +alpha, bit 1 <-> -alpha
 The pilot (ancilla) coordinate, when present, is prepended as coordinate 0.
 """
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,19 +87,54 @@ def two_symbol_code():
     return BinaryCode(n=2, size=3, d=1, codewords=bits, family="two_symbol")
 
 
+@functools.cache
+def _factor(k, dtype):
+    """H_{2^k} as a read-only array of ``dtype``, built once per (k, dtype)."""
+    h = sylvester_hadamard(k).astype(dtype)
+    h.setflags(write=False)
+    return h
+
+
+def _walsh_into(src, scratch, dst):
+    """dst = src @ H_n row by row, for C-contiguous (rows, n) arrays of one
+    dtype with n = 2^m; dst may be src.
+
+    Each row is viewed as an (a, b) array X with a = 2^floor(m/2),
+    b = 2^ceil(m/2), and since H_n = H_a (x) H_b its transform is
+    H_a @ X @ H_b: one 2-D product with H_b over every row into ``scratch``,
+    then one batched product with H_a back into ``dst``. That costs a + b
+    rather than n multiply-adds per output entry, and allocates nothing.
+    """
+    m = src.shape[-1].bit_length() - 1
+    a, b = 1 << m // 2, 1 << m - m // 2
+    # a 2-D operand makes this one BLAS call, not one per batch row
+    np.matmul(src.reshape(-1, b), _factor(m - m // 2, src.dtype), out=scratch.reshape(-1, b))
+    np.matmul(_factor(m // 2, src.dtype), scratch.reshape(-1, a, b), out=dst.reshape(-1, a, b))
+    return dst
+
+
+def _argmin_decode(s, scratch, rm1=False):
+    """ML codeword indices of the 0/1 words zero-padded at the front into the
+    rows of the float32 (rows, 2^m) workspace ``s``, which is overwritten;
+    ``scratch`` is a second buffer of the same shape. See ml_decode_hard.
+    """
+    # distances minus 2^{m-1}: exact integers in float32, same argmin
+    dist = _walsh_into(s, scratch, s)
+    dist[:, 0] -= dist.shape[1] // 2
+    if rm1:
+        dist = np.concatenate([dist, -dist], axis=1)
+    return np.argmin(dist, axis=1)
+
+
 def fwht(v, normalized=False):
     """Walsh-Hadamard transform over the last axis of an (..., n) array.
 
     The plain variant equals multiplication by the Sylvester matrix; the
-    normalized one scales by 1/sqrt(n) and is an involution. For n = 2^m the
-    last axis is viewed as an (a, b) array with a = 2^floor(m/2),
-    b = 2^ceil(m/2), and since H_n = H_a (x) H_b the transform is
-    H_a @ X @ H_b: one 2-D product with H_b over every row of the batch, then
-    one batched product with H_a. That costs a + b rather than n
-    multiply-adds per output entry. It is exact on integer-valued input whose
-    sums fit the dtype's mantissa, which is what hard decoding relies on.
-    Floating and complex inputs keep their dtype; others become float64.
-    Input length must be a power of two.
+    normalized one scales by 1/sqrt(n) and is an involution. The transform
+    is the two-factor product H_a @ X @ H_b of ``_walsh_into``. It is exact
+    on integer-valued input whose sums fit the dtype's mantissa, which is
+    what hard decoding relies on. Floating and complex inputs keep their
+    dtype; others become float64. Input length must be a power of two.
     """
     v = np.asarray(v)
     if v.dtype.kind not in "fc":
@@ -105,12 +142,8 @@ def fwht(v, normalized=False):
     n = v.shape[-1] if v.ndim else 0
     if n == 0 or n & (n - 1):
         raise ValueError(f"FWHT needs a power-of-two length, got {n}")
-    m = n.bit_length() - 1
-    a, b = m // 2, m - m // 2
-    # a 2-D operand makes this one BLAS call, not one per batch row
-    x = v.reshape(-1, 1 << b) @ sylvester_hadamard(b).astype(v.dtype)
-    out = np.matmul(sylvester_hadamard(a).astype(v.dtype), x.reshape(-1, 1 << a, 1 << b))
-    out = out.reshape(v.shape)
+    src = np.ascontiguousarray(v.reshape(-1, n))
+    out = _walsh_into(src, np.empty_like(src), np.empty_like(src)).reshape(v.shape)
     if normalized:
         out /= np.sqrt(n)
     return out
@@ -135,13 +168,7 @@ def ml_decode_hard(code, received):
     if received.ndim == 0 or received.shape[-1] != code.n:
         raise ValueError(f"received length {received.shape} != block length {code.n}")
     modes = code.size if code.family == "hadamard" else code.n
-    s = np.zeros(received.shape[:-1] + (modes,), dtype=np.float32)
-    s[..., modes - code.n:] = received
-    # distances minus 2^{m-1}: exact integers in float32, same argmin
-    dist = fwht(s)
-    dist[..., 0] -= modes // 2
-    if code.family == "rm1":
-        dist = np.concatenate([dist, -dist], axis=-1)
-    decoded = np.argmin(dist, axis=-1)
-    return int(decoded) if received.ndim == 1 else decoded
-
+    s = np.zeros((math.prod(received.shape[:-1]), modes), dtype=np.float32)
+    s[:, modes - code.n:] = received.reshape(-1, code.n)
+    decoded = _argmin_decode(s, np.empty_like(s), rm1=code.family == "rm1")
+    return int(decoded[0]) if received.ndim == 1 else decoded.reshape(received.shape[:-1])

@@ -6,6 +6,8 @@ quadrature, closed forms, high-precision mpmath), so agreement is evidence
 rather than tautology.
 """
 
+import math
+
 import mpmath as mp
 import numpy as np
 from scipy.stats import binom
@@ -183,25 +185,37 @@ def exhaustive_dr_ber(m, nbar):
 def plain_dr_ber_bit_errors(m, nbar, trials, seed, chunk=50000):
     """Bit errors of the Hadamard-DR Monte Carlo by its plain reference loop.
 
-    Whole chunks of trials: the chunk's messages, then one (batch, n) array
-    of ``Generator.random`` doubles compared with q, decoded by a dense
-    correlation with every +-1 codeword (ties to the smallest index). Same
-    seeding and draw order as ``ber_sim.hadamard_dr_ber``, no raw words, no
-    blocks and no FWHT.
+    Whole chunks of trials: the chunk's messages, then ceil(batch * n / 8)
+    raw words cut into bytes by explicit shifts, low byte first. A symbol
+    flips when its byte is below k = floor(256 q); a byte equal to k flips
+    when the next ``Generator.random`` double of the seed's first spawned
+    child stream is below f = 256 q - k. Decoded by a dense correlation with
+    every +-1 codeword (ties to the smallest index). Same seeding and draw
+    order as ``ber_sim.hadamard_dr_ber``, no byte views, no blocks and no
+    FWHT.
     """
     from jdrcap.codes import hadamard_code
 
     code = hadamard_code(m, with_ancilla=False)
     codewords, K, n = code.codewords, code.size, code.n
     signs = (1.0 - 2.0 * codewords.T).astype(np.float32)
-    q = dolinar_error_q(nbar)
+    t = 256.0 * dolinar_error_q(nbar)
+    k = math.floor(t)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed)))
+    ties_rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(0,)))
     bit_errors = 0
     done = 0
     while done < trials:
         batch = min(chunk, trials - done)
         msg = rng.integers(0, K, size=batch)
-        flips = rng.random((batch, n)) < q
+        words = rng.bit_generator.random_raw(-(-batch * n // 8))
+        symbols = np.empty((words.size, 8), dtype=np.uint8)
+        for j in range(8):
+            symbols[:, j] = (words >> np.uint64(8 * j)) & np.uint64(0xFF)
+        symbols = symbols.reshape(-1)[:batch * n].reshape(batch, n)
+        flips = symbols < k
+        tied = symbols == k
+        flips[tied] = ties_rng.random(int(tied.sum())) < t - k
         received = codewords[msg] ^ flips
         decoded = np.argmax((1 - 2 * received.astype(np.float32)) @ signs, axis=1)
         bit_errors += int(np.bitwise_count(msg ^ decoded).sum())

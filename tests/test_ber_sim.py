@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -63,8 +66,9 @@ class TestDrawOrderPinned:
     """hadamard_dr_ber's bit errors equal the plain whole-chunk loop's, bit for bit.
 
     Trial counts cross the 50000-trial chunk and the decode blocks at
-    uneven points; nbar = 1e-300 is q = 1/2 and nbar = 50 puts q near 1e-88,
-    where only the raw words below 2^11 flip.
+    uneven points; nbar = 1e-300 is q = 1/2 (k = 128, no tie flips) and
+    nbar = 50 puts q near 1e-88, where only the raw tie words below 2^11
+    flip.
     """
 
     @pytest.mark.parametrize("m,nbar,trials,seed", [
@@ -80,28 +84,51 @@ class TestDrawOrderPinned:
         pt = ber_sim.hadamard_dr_ber(m, nbar, trials, seed)
         assert pt.bit_errors == plain_dr_ber_bit_errors(m, nbar, trials, seed)
 
-    @pytest.mark.parametrize("m,block_words", [(4, 100), (2, 1)])
-    def test_block_size_does_not_move_the_estimate(self, monkeypatch, m, block_words):
-        monkeypatch.setattr(ber_sim, "_BLOCK_WORDS", block_words)
+    # 8 * n is 120, 24, 56 and 2040: no block size is a multiple of it
+    @pytest.mark.parametrize("m,block_floats", [(4, 100), (2, 1), (3, 200), (8, 5000)])
+    def test_block_size_does_not_move_the_estimate(self, monkeypatch, m, block_floats):
+        monkeypatch.setattr(ber_sim, "_BLOCK_FLOATS", block_floats)
         pt = ber_sim.hadamard_dr_ber(m, 0.05, 10007, 5)
         assert pt.bit_errors == plain_dr_ber_bit_errors(m, 0.05, 10007, 5)
 
+    def test_symbol_bytes_are_little_endian(self):
+        words = np.random.PCG64(np.random.SeedSequence(entropy=17)).random_raw(9)
+        expected = [(int(w) >> (8 * j)) & 0xFF for w in words for j in range(8)]
+        bits = np.random.PCG64(np.random.SeedSequence(entropy=17))
+        assert ber_sim._symbol_bytes(bits, 64).tolist() == expected[:64]
+        # a partial word is consumed whole: the next call starts a fresh word
+        bits = np.random.PCG64(np.random.SeedSequence(entropy=17))
+        assert ber_sim._symbol_bytes(bits, 61).tolist() == expected[:61]
+        assert ber_sim._symbol_bytes(bits, 3).tolist() == expected[64:67]
+
 
 class TestFlipCut:
-    """word < flip_cut(q) is exactly Generator.random's double below q."""
+    """A byte below k, or a byte equal to k whose tie word is below cut, flips
+    with probability exactly ceil(q 2^61) / 2^61."""
 
     QS = [0.5, 0.27, 5e-324, 0.0] + [float(dolinar_error_q(x))
                                      for x in np.geomspace(1e-3, 6e-2, 10)]
 
     @pytest.mark.parametrize("q", QS)
+    def test_exact_flip_probability(self, q):
+        k, cut = ber_sim.flip_cut(q)
+        assert 0 <= k <= 128 and 0 <= cut < 2 ** 64 and cut % 2 ** 11 == 0
+        # P = k/256 + (1/256) (cut >> 11) / 2^53, all in units of 2^-61
+        assert k * 2 ** 53 + (cut >> 11) == math.ceil(Fraction(q) * 2 ** 61)
+
+    @pytest.mark.parametrize("q", QS)
     def test_words_around_the_cut(self, q):
-        cut = ber_sim.flip_cut(q)
+        k, cut = ber_sim.flip_cut(q)
+        f = Fraction(q) * 256 - k
         for word in (cut - 1, cut, cut + 1):
             if not 0 <= word < 2 ** 64:
                 continue
             uniform = (word >> 11) * 2.0 ** -53     # exact: word >> 11 < 2^53
-            assert (word < cut) == (uniform < q), (q, word)
-            assert (np.uint64(word) < np.uint64(cut)) == (uniform < q)
+            assert (word < cut) == (uniform < f), (q, word)
+            assert (np.uint64(word) < np.uint64(cut)) == (uniform < f)
+
+    def test_half_has_no_tie_flips(self):
+        assert ber_sim.flip_cut(0.5) == (128, 0)
 
     def test_double_is_the_shifted_raw_word(self):
         a = np.random.default_rng(np.random.SeedSequence(entropy=123))
