@@ -10,6 +10,8 @@ a scalar gives a float, an array an array of the same shape. All functions
 are pure and safe for concurrent evaluation.
 """
 
+import sys
+
 import numpy as np
 
 from .entropy import LN2, _float_or_array, binary_entropy, xlog2
@@ -50,25 +52,32 @@ def pie_ultimate(nbar):
     return _float_or_array(np.where(big, 0.0, g(nbar) / np.where(big, 1.0, nbar)))
 
 
-def nbar_for_pie(target_pie, rel_tol=1e-9):
+def nbar_for_pie(target_pie):
     """Invert pie_ultimate: the unique nbar with g(nbar)/nbar = target_pie.
 
-    Bisection on the strictly decreasing PIE; unconditionally convergent.
+    Bisection on the strictly decreasing PIE to a relative width of 1e-9, or
+    to two adjacent doubles where no midpoint lies between (as among the
+    subnormals). Raises ValueError unless the target lies between the PIEs
+    of the largest double (about 5.7e-306) and the smallest (1075).
     """
-    if not 0 < target_pie < np.inf:
-        raise ValueError(f"target PIE must be > 0 and finite, got {target_pie}")
+    lowest = pie_ultimate(sys.float_info.max)
+    highest = pie_ultimate(np.finfo(float).smallest_subnormal)
+    if not lowest <= target_pie <= highest:
+        raise ValueError(f"target PIE must lie in [{lowest}, {highest}], the PIEs of the "
+                         f"largest and the smallest double, got {target_pie}")
     lo, hi = 1.0, 1.0
     while pie_ultimate(lo) < target_pie:
         lo /= 8.0
     while pie_ultimate(hi) > target_pie:
-        hi *= 8.0
-    while hi - lo > rel_tol * lo:
-        mid = 0.5 * (lo + hi)
+        hi = min(8.0 * hi, sys.float_info.max)
+    mid = 0.5 * lo + 0.5 * hi       # lo + hi overflows near the largest double
+    while hi - lo > 1e-9 * lo and lo < mid < hi:
         if pie_ultimate(mid) > target_pie:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
+    return mid
 
 
 def holevo_bpsk(nbar):
@@ -288,8 +297,8 @@ def tradeoff_curve(modes, n_r_grid):
     photon number N_R in the grid; at an infinite budget PIE is its limit 0.
     Returns the arrays (se, pie), aligned with the grid.
     """
-    if modes < 1:
-        raise ValueError(f"need at least one mode, got {modes}")
+    if not 1 <= modes <= sys.float_info.max:
+        raise ValueError("need a mode count >= 1 within the range of a double")
     n_r = _photons(n_r_grid, strict=True)
     se = modes * g(n_r / modes)
     big = np.isinf(n_r)

@@ -41,8 +41,10 @@ class LinkParams:
 
     @classmethod
     def from_radii(cls, wavelength, range, tx_radius, rx_radius, slot_rate, **kw):
-        """Circular apertures of the given radii; raises OverflowError, naming
-        the aperture area, when pi r^2 overflows a double."""
+        """Circular apertures of the given radii, which must be > 0; raises
+        OverflowError, naming the aperture area, when pi r^2 overflows a double."""
+        if not (tx_radius > 0 and rx_radius > 0):
+            raise ValueError(f"aperture radii must be > 0, got {tx_radius} and {rx_radius}")
         try:
             tx_area, rx_area = (math.pi * r ** 2 for r in (tx_radius, rx_radius))
         except OverflowError:

@@ -148,13 +148,14 @@ def two_symbol_ratio_curve(nbar_grid, receiver="structured"):
     return i2, c1_bpsk_dolinar(nbar_grid)
 
 
-def capacity_curves(family, m, nbar_grid, receiver="structured"):
-    """Bits per symbol of one receiver family along an nbar grid, as an array."""
+def capacity_curves(family, m, nbar_grid):
+    """Bits per symbol of one receiver family along an nbar grid, as an array;
+    two_symbol is the structured receiver's."""
     nbar_grid = np.asarray(nbar_grid, dtype=float)
     if np.any(nbar_grid <= 0):
         raise ValueError("PIE curves need positive nbar")
     if family == "two_symbol":
-        return two_symbol_ratio_curve(nbar_grid, receiver)[0]
+        return two_symbol_ratio_curve(nbar_grid)[0]
     try:
         cap = CLOSED_FORMS[family]
     except KeyError:

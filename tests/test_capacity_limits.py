@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -113,6 +117,14 @@ class TestPieUltimate:
         assert list(cl.pie_ultimate(np.array([1.0, np.inf]))) == [cl.pie_ultimate(1.0), 0.0]
 
 
+def in_time(code):
+    """Stdout of ``code`` run by a fresh interpreter that must finish within 60 s."""
+    src = Path(cl.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+                          check=True).stdout
+
+
 class TestNbarForPie:
     def test_paper_value(self):
         assert cl.nbar_for_pie(10.0) == pytest.approx(PAPER_NBAR_STAR, abs=1e-6)
@@ -143,6 +155,31 @@ class TestNbarForPie:
     def test_rejects_nan_and_inf(self, pie):
         with pytest.raises(ValueError):
             cl.nbar_for_pie(pie)
+
+    def test_targets_beyond_the_doubles_raise_in_time(self):
+        # no finite nbar meets these targets; a separate process with a timeout
+        # turns a bisection that never ends into a failure
+        done = in_time("from jdrcap.capacity_limits import nbar_for_pie\n"
+                       "for pie in (1e-307, 1e-310, 1076.0):\n"
+                       "    try:\n"
+                       "        nbar_for_pie(pie)\n"
+                       "    except ValueError as exc:\n"
+                       "        print(exc)\n")
+        assert done.count("target PIE must lie in") == 3
+
+    def test_extreme_targets_end_in_time(self):
+        # near the largest double the bracket must stay finite; among the subnormals
+        # the bisection must stop once the bracket is two adjacent doubles
+        done = in_time("import numpy as np\n"
+                       "from jdrcap.capacity_limits import nbar_for_pie, pie_ultimate\n"
+                       "for pie in (6e-306, 1060.0, 1070.0):\n"
+                       "    nbar = nbar_for_pie(pie)\n"
+                       "    print(pie_ultimate(nbar) / pie - 1.0,\n"
+                       "          pie_ultimate(np.nextafter(nbar, 0.0)) >= pie\n"
+                       "          >= pie_ultimate(np.nextafter(nbar, np.inf)))\n")
+        (large, _), *subnormal = (line.split() for line in done.splitlines())
+        assert abs(float(large)) < 1e-8
+        assert [bracketed for _, bracketed in subnormal] == ["True", "True"]
 
 
 class TestHolevoBpsk:
@@ -399,6 +436,11 @@ class TestTradeoffCurve:
     def test_pie_decreasing_in_photon_budget(self):
         _, pies = cl.tradeoff_curve(10, np.geomspace(0.01, 10, 20))
         assert all(x > y for x, y in zip(pies, pies[1:]))
+
+    @pytest.mark.parametrize("modes", [0, 10 ** 400], ids=["0", "10**400"])
+    def test_rejects_mode_counts_outside_a_double(self, modes):
+        with pytest.raises(ValueError):
+            cl.tradeoff_curve(modes, [1.0])
 
     def test_infinite_budget_pie_is_zero(self):
         se, pie = cl.tradeoff_curve(2, [1.0, np.inf])

@@ -23,6 +23,38 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def usage_error_line(capsys, argv):
+    """Run argv; assert exit 2 with one ``error: `` line on stderr and no stdout."""
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def manifest_bytes(subcommand, params, seed, payload):
+    """The manifest the CLI writes next to ``payload``."""
+    return json.dumps({"subcommand": subcommand, "parameters": params, "seed": seed,
+                       "version": jdrcap.__version__,
+                       "output_sha256": hashlib.sha256(payload.encode()).hexdigest()},
+                      indent=2, sort_keys=True) + "\n"
+
+
+def written(tmp_path, argv):
+    """Run argv with --out; return the payload and the manifest it wrote."""
+    out = tmp_path / "out.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    return out.read_text(), Path(f"{out}.manifest.json").read_text()
+
+
+def with_flags(argv, flags):
+    """A copy of argv with the values of the flags in ``flags`` (flag, value, ...) replaced."""
+    argv = list(argv)
+    for flag, value in zip(flags[::2], flags[1::2]):
+        argv[argv.index(flag) + 1] = value
+    return argv
+
+
 def parse_csv(text):
     lines = text.strip().split("\n")
     header = lines[0].split(",")
@@ -65,9 +97,18 @@ class TestLimits:
         assert np.all(col["c1_dolinar"][window] <= env[window] + 1e-12)
 
     def test_unknown_family_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["limits", "--families", "bogus"])
-        assert excinfo.value.code == 2
+        usage_error_line(capsys, ["limits", "--families", "bogus"])
+
+    @pytest.mark.parametrize("flags,families,m_max", [
+        ([], ["ultimate", "holevo_bpsk", "c1_dolinar", "hadamard_envelope", "rm_gm_envelope",
+              "two_symbol"], 10),
+        (["--families", "two_symbol,ultimate", "--m-max", "4"], ["two_symbol", "ultimate"], 4),
+    ])
+    def test_manifest_bytes(self, tmp_path, flags, families, m_max):
+        payload, manifest = written(tmp_path, ["limits", "--points", "3"] + flags)
+        params = {"nbar_min": 1e-6, "nbar_max": 10.0, "points": 3, "families": families,
+                  "m_max": m_max}
+        assert manifest == manifest_bytes("limits", params, None, payload)
 
     @pytest.mark.parametrize("argv", [["--nbar-min", "nan"], ["--m-max", "0"], ["--m-max", "11"]])
     def test_bad_input_usage_error(self, capsys, argv):
@@ -109,17 +150,16 @@ class TestTradeoff:
         assert rows[-1, 1] == 4.0
 
     def test_zero_modes_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["tradeoff", "--modes-list", "0"])
-        assert excinfo.value.code == 2
+        usage_error_line(capsys, ["tradeoff", "--modes-list", "0"])
 
     def test_mode_count_beyond_a_double_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["tradeoff", "--modes-list", "1" + "0" * 400, "--points", "2"])
-        assert excinfo.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        usage_error_line(capsys, ["tradeoff", "--modes-list", "1" + "0" * 400, "--points", "2"])
+
+    def test_manifest_bytes(self, tmp_path):
+        payload, manifest = written(tmp_path, ["tradeoff", "--modes-list", "1,0189",
+                                               "--nr-max", "2", "--points", "2"])
+        params = {"modes_list": [1, 189], "nr_min": 1e-3, "nr_max": 2.0, "points": 2}
+        assert manifest == manifest_bytes("tradeoff", params, None, payload)
 
 
 class TestSuperchannel:
@@ -149,9 +189,16 @@ class TestSuperchannel:
         assert rows[:, 4].max() == pytest.approx(1.0249, abs=0.003)
 
     def test_missing_m_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["superchannel", "--family", "rm_gm"])
-        assert excinfo.value.code == 2
+        usage_error_line(capsys, ["superchannel", "--family", "rm_gm"])
+
+    @pytest.mark.parametrize("family,m", [("two_symbol", None), ("rm_mpe", 3)])
+    def test_manifest_bytes(self, tmp_path, family, m):
+        flags = [] if m is None else ["--m", str(m)]
+        payload, manifest = written(tmp_path, ["superchannel", "--family", family,
+                                               "--points", "2"] + flags)
+        params = {"family": family, "m": m, "receiver": "structured", "nbar_min": 1e-6,
+                  "nbar_max": 2.0, "points": 2}
+        assert manifest == manifest_bytes("superchannel", params, None, payload)
 
     def test_unknown_family_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -200,9 +247,25 @@ class TestBer:
         assert "generated seed" in err
 
     def test_rejects_thin_trials(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["ber", "--trials", "100"])
-        assert excinfo.value.code == 2
+        usage_error_line(capsys, ["ber", "--trials", "9999", "--seed", "1"])
+
+    def test_usage_error_before_generated_seed(self, capsys):
+        # the seed is reported only once the run gets past its usage errors
+        usage_error_line(capsys, ["ber", "--trials", "9999"])
+
+    @pytest.mark.parametrize("seed", ["42", None])
+    def test_manifest_bytes(self, capsys, tmp_path, seed):
+        flags = [] if seed is None else ["--seed", seed]
+        payload, manifest = written(tmp_path, ["ber", "--m", "2", "--points", "2",
+                                               "--trials", "10000"] + flags)
+        err = capsys.readouterr().err
+        if seed is None:
+            assert err.startswith("generated seed: ") and err.count("\n") == 1
+            seed = err.removeprefix("generated seed: ")
+        else:
+            assert err == ""
+        params = {"m": 2, "nbar_min": 1e-3, "nbar_max": 0.1, "points": 2, "trials": 10000}
+        assert manifest == manifest_bytes("ber", params, int(seed), payload)
 
     @pytest.mark.parametrize("m", ["0", "11"])
     def test_m_out_of_range_usage_error(self, capsys, m):
@@ -236,16 +299,10 @@ class TestLink:
         assert "regime_warning" not in report
 
     def test_manifest_bytes(self, capsys, tmp_path):
-        out = tmp_path / "link.json"
-        assert cli.main(self.ARGS + ["--out", str(out)]) == 0
-        payload = out.read_text()
+        payload, manifest = written(tmp_path, self.ARGS)
         params = {"wavelength": 1.55e-6, "range": 1000.0, "radii": "0.07", "areas": None,
                   "slot_rate": 2e8, "pie": 10.0, "se": 5.0}
-        want = json.dumps({"subcommand": "link", "parameters": params, "seed": None,
-                           "version": jdrcap.__version__,
-                           "output_sha256": hashlib.sha256(payload.encode()).hexdigest()},
-                          indent=2, sort_keys=True) + "\n"
-        assert Path(f"{out}.manifest.json").read_text() == want
+        assert manifest == manifest_bytes("link", params, None, payload)
 
     def test_far_field_warning_exit_zero(self, capsys):
         argv = ["link", "--wavelength", "1.55e-6", "--range", "1.0",
@@ -273,6 +330,22 @@ class TestLink:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(self.ARGS[:-4] + ["--pie", pie, "--se", "5"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("flags", [["--pie", "0"], ["--radii", "-0.07"],
+                                       ["--radii", "0.07,-0.07"], ["--radii", "0"]])
+    def test_value_error_one_line(self, capsys, flags):
+        usage_error_line(capsys, with_flags(self.ARGS, flags))
+
+    @pytest.mark.parametrize("flags", [["--pie", "1e-310", "--se", "1e-310"],
+                                       ["--radii", "-0.07"]])
+    def test_usage_error_exits_in_time(self, flags):
+        # a separate process, so that a bisection that never ends fails the test
+        src = Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-m", "jdrcap"] + with_flags(self.ARGS, flags),
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("flag,value", [("--wavelength", "nan"), ("--se", "inf"),
                                             ("--range", "inf"), ("--radii", "nan")])
@@ -309,10 +382,7 @@ class TestNumericalFailure:
         (["--radii", "1e300"], "aperture area"),
     ])
     def test_link_failure_names_the_quantity(self, capsys, flags, quantity):
-        argv = list(TestLink.ARGS)
-        for flag, value in zip(flags[::2], flags[1::2]):
-            argv[argv.index(flag) + 1] = value
-        code, out, err = run(capsys, argv)
+        code, out, err = run(capsys, with_flags(TestLink.ARGS, flags))
         assert code == 3 and out == ""
         assert err.startswith(f"numerical failure: {quantity}") and err.count("\n") == 1
 
@@ -366,6 +436,8 @@ EDGE_RANGES = VALID_RANGES * 3 + (("0", "1"), ("-1", "2"), ("nan", "1"), ("1", "
                                   ("-inf", "1"), ("2", "1e-3"), ("0.5", "0.5"))
 EDGE_POINTS = ("2", "3") * 3 + ("-1", "0", "1")
 EDGE_M = tuple(str(m) for m in range(12))
+# below the PIE of the largest double, where no finite nbar meets the target
+LINK_FLOATS = EDGE_FLOATS + ("1e-310",)
 
 
 @st.composite
@@ -391,10 +463,10 @@ def cli_argv(draw, sub):
     if sub == "ber":
         return (["ber", "--m", edge(EDGE_M), "--trials", edge(("10000",) * 3 + ("9999", "-1")),
                  "--seed", edge(("0", "7") * 3 + ("-1",))] + grid)
-    return ["link", "--wavelength", edge(EDGE_FLOATS), "--range", edge(EDGE_FLOATS),
-            edge(("--radii", "--areas")), edge(EDGE_FLOATS + ("0.07,1e300", "1,2,3")),
-            "--slot-rate", edge(EDGE_FLOATS), "--pie", edge(EDGE_FLOATS),
-            "--se", edge(EDGE_FLOATS)]
+    return ["link", "--wavelength", edge(LINK_FLOATS), "--range", edge(LINK_FLOATS),
+            edge(("--radii", "--areas")), edge(LINK_FLOATS + ("0.07,1e300", "1,2,3")),
+            "--slot-rate", edge(LINK_FLOATS), "--pie", edge(LINK_FLOATS),
+            "--se", edge(LINK_FLOATS)]
 
 
 def emitted_numbers(argv, out):

@@ -38,6 +38,13 @@ class TestFresnelNumber:
             lb.LinkParams(wavelength=-1.0, range=1.0, tx_aperture_area=1.0,
                           rx_aperture_area=1.0, slot_rate=1.0)
 
+    @pytest.mark.parametrize("radii", [(-0.07, -0.07), (0.07, -0.07), (0.0, 0.07),
+                                       (0.07, math.nan)])
+    def test_from_radii_rejects_nonpositive(self, radii):
+        # pi r^2 is positive for a negative r, so the sign is checked on the radius
+        with pytest.raises(ValueError):
+            lb.LinkParams.from_radii(1.55e-6, 1000.0, *radii, 2e8)
+
 
 class TestModeCount:
     def test_round_two_df(self):
