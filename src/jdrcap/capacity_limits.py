@@ -105,76 +105,35 @@ def c1_bpsk_dolinar(nbar):
     return _float_or_array((x * np.log1p(x) - 2.0 * n * np.exp(-4.0 * n) / (1.0 + x)) / LN2)
 
 
-# Taylor coefficients of f(b) / b^{3/2} at b = 0, and where the series takes over
-_F_SERIES = (2 / 3, -2 / 3, 3 / 7, -13 / 63, 1073 / 13860, -65 / 2772)
-_F_SERIES_BELOW = 1e-2
-# duplication steps of _carlson_rf_rd: each shrinks the spread of (x, y, z) about
-# their mean fourfold, and the fifth-order series leaves an O(spread^6) error
-_DUPLICATIONS = 12
-
-
-def _carlson_rf_rd(x, y, z):
-    """Carlson's symmetric elliptic integrals (R_F(x, y, z), R_D(x, y, z)).
-
-    For x, y >= 0 and z > 0, arrays broadcast together. A fixed number of
-    duplication steps, then the series of DLMF 19.36.1 (R_F) and 19.36.2
-    (R_D), after B. C. Carlson, Numer. Algorithms 10 (1995) 13-26.
-    """
-    v = np.array(np.broadcast_arrays(x, y, z), dtype=float)    # rows x, y, z
-    mean_f = v.sum(axis=0) / 3.0
-    mean_d = (mean_f * 3.0 + 2.0 * v[2]) / 5.0
-    dev_f, dev_d = mean_f - v[:2], mean_d - v[:2]   # of x and y, before duplication
-    terms = []                                      # 1 / (sqrt(z_k) (z_k + lam_k))
-    for _ in range(_DUPLICATIONS):
-        r = np.sqrt(v)
-        lam = r[0] * (r[1] + r[2]) + r[1] * r[2]
-        terms.append(1.0 / (r[2] * (v[2] + lam)))
-        v = (v + lam) / 4.0
-    tail = 0.0                                      # sum of 4^-k terms[k], smallest first
-    for term in reversed(terms):
-        tail = term + tail / 4.0
-    scale = 4.0 ** -_DUPLICATIONS
-
-    mean = v.sum(axis=0) / 3.0
-    X, Y = scale * dev_f / mean
-    Z = -(X + Y)
-    e2, e3 = X * Y - Z * Z, X * Y * Z
-    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(mean)
-
-    mean = (mean * 3.0 + 2.0 * v[2]) / 5.0
-    X, Y = scale * dev_d / mean
-    Z = -(X + Y) / 3.0
-    xy, zz = X * Y, Z * Z
-    e2, e3 = xy - 6.0 * zz, (3.0 * xy - 8.0 * zz) * Z
-    e4, e5 = 3.0 * (xy - zz) * zz, xy * zz * Z
-    series = (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0
-              - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
-    rd = scale * series / (mean * np.sqrt(mean)) + 3.0 * tail
-    return rf, rd
+# 16-node Gauss-Legendre rule on [0, 1], as the squared nodes t^2 and the weights:
+# f_integral's integrands are analytic near [0, 1], so the rule converges geometrically
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
+_T2, _W = ((_NODES + 1.0) / 2.0) ** 2, _WEIGHTS / 2.0
 
 
 def f_integral(b):
     """The phase-information integral f(b) = 1/2 int_a^1 sqrt(1-(a/x)^4) dx, a = e^{-b}.
 
-    In closed form, with phi = arccos(a) and the incomplete elliptic integrals
-    E and F at parameter 1/2:
-    f(b) = [sqrt(1 - a^4) - sqrt(2) a (2 E(phi|1/2) - F(phi|1/2))] / 2.
-    E and F come from Carlson's symmetric integrals (DLMF 19.25.5, 19.25.9;
-    algorithm of DLMF 19.36): with s = sin(phi) = sqrt(1 - a^2) and R_F, R_D
-    both at (a^2, 1 - s^2/2, 1), F = s R_F and E = F - (s^3 / 6) R_D, so
-    2E - F = s R_F - (s^3 / 3) R_D.
-    Its two terms cancel as b -> 0, so below b = 1e-2 the Taylor series
-    b^{3/2} (2/3 - 2b/3 + 3b^2/7 - ...) is used instead.
+    One Gauss-Legendre rule in t on [0, 1], with c = 1 - a, on either of two
+    forms without the square-root cusp at x = a:
+    - a >= 1/2: x = a + c t^2 gives
+      f = c^{3/2} int t^2 sqrt((x + a)(x^2 + a^2)) / x^2 dt,
+      whose terms never cancel, so small b needs no series;
+    - a < 1/2, where that 1/x^2 would peak near t = 0: u = a/x, an
+      integration by parts and u = 1 - c t^2 give
+      f = sqrt(1 - a^4)/2 - 2 a sqrt(c) int u^2 / sqrt((1 + u)(1 + u^2)) dt,
+      whose two terms barely cancel.
     """
-    b = _photons(b)
-    a = np.exp(-b)
-    s = np.sqrt(-np.expm1(-2.0 * b))
-    rf, rd = _carlson_rf_rd(a * a, 1.0 - 0.5 * s * s, 1.0)
-    elliptic = 0.5 * (np.sqrt(-np.expm1(-4.0 * b))
-                      - np.sqrt(2.0) * a * (s * rf - s ** 3 * rd / 3.0))
-    small = np.minimum(b, _F_SERIES_BELOW)  # keeps the unused branch finite at b = inf
-    series = small * np.sqrt(small) * np.polynomial.polynomial.polyval(small, _F_SERIES)
-    return _float_or_array(np.where(b < _F_SERIES_BELOW, series, elliptic))
+    b = _photons(b)[..., None]      # a column against the nodes
+    a, c = np.exp(-b), -np.expm1(-b)
+    x = a + c * _T2
+    near = c * np.sqrt(c) * np.sum(_W * _T2 * np.sqrt((x + a) * (x * x + a * a)) / (x * x),
+                                   axis=-1, keepdims=True)
+    u = 1.0 - c * _T2
+    far = (0.5 * np.sqrt(1.0 - a ** 4)
+           - 2.0 * a * np.sqrt(c) * np.sum(_W * u * u / np.sqrt((1.0 + u) * (1.0 + u * u)),
+                                           axis=-1, keepdims=True))
+    return _float_or_array(np.where(a >= 0.5, near, far)[..., 0])
 
 
 def hadamard_jdr_capacity(m, nbar):

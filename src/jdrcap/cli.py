@@ -4,8 +4,9 @@ Every subcommand writes CSV (or JSON for ``link``) with a reproducibility
 manifest: the subcommand, its parameters (every parsed option but ``--out``
 and ``--seed``), any seed, the tool version, and a checksum of the emitted
 bytes. Reruns with an identical manifest produce byte-identical output.
-Exit codes: 0 success, 2 usage error (an option argparse rejects, or any
-ValueError, printed as one ``error: <message>`` line), 3 numerical failure
+Exit codes: 0 success, 2 usage error (an option argparse rejects, any
+ValueError, or an ``--out`` that cannot be written, printed as one
+``error: <message>`` line), 3 numerical failure
 (a solver that did not converge, or an ArithmeticError such as a failed
 consistency or row-sum check).
 """
@@ -51,16 +52,19 @@ def _emit(payload, args):
                            "output_sha256": hashlib.sha256(payload.encode()).hexdigest()},
                           indent=2, sort_keys=True) + "\n"
     if args.out:
-        Path(args.out).write_text(payload)
-        Path(args.out + ".manifest.json").write_text(manifest)
+        try:
+            Path(args.out).write_text(payload)
+            Path(args.out + ".manifest.json").write_text(manifest)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(payload)
         sys.stderr.write(manifest)
 
 
 def _log_grid(lo, hi, points, name):
-    if not 0 < lo < hi or points < 2:
-        raise ValueError(f"need 0 < {name}-min < {name}-max and points >= 2")
+    if not 0 < lo < hi:
+        raise ValueError(f"need 0 < {name}-min < {name}-max")
     return np.geomspace(lo, hi, points)
 
 
@@ -80,12 +84,28 @@ def _code_order(text):
     return value
 
 
+def _grid_points(text):
+    """argparse type of --points: 2..10,000, which bounds the memory a grid takes."""
+    value = int(text)
+    if not 2 <= value <= 10_000:
+        raise argparse.ArgumentTypeError(f"need 2..10000 grid points, got {text!r}")
+    return value
+
+
 def _seed(text):
     """argparse type of --seed: numpy seed sequences take only integers >= 0."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"need a seed >= 0, got {text!r}")
     return value
+
+
+def _number_list(spec, flag, kind):
+    """The comma-separated numbers of list option ``flag``, each parsed by ``kind``."""
+    try:
+        return [kind(tok) for tok in spec.split(",")]
+    except ValueError:
+        raise ValueError(f"bad {flag} {spec!r}; give comma-separated numbers") from None
 
 
 # each limits column as a function of the nbar grid and the code orders of the envelopes
@@ -113,7 +133,7 @@ def cmd_limits(args):
 
 
 def cmd_tradeoff(args):
-    args.modes_list = [int(tok) for tok in args.modes_list.split(",")]
+    args.modes_list = _number_list(args.modes_list, "--modes-list", int)
     grid = _log_grid(args.nr_min, args.nr_max, args.points, "nr")
     se, pie = np.concatenate([capacity_limits.tradeoff_curve(modes, grid)
                               for modes in args.modes_list], axis=1)
@@ -154,7 +174,7 @@ def cmd_ber(args):
 
 
 def _two_floats(spec, flag):
-    values = [float(tok) for tok in spec.split(",")]
+    values = _number_list(spec, flag, float)
     if len(values) == 1:
         values *= 2
     if len(values) != 2 or not all(map(math.isfinite, values)):
@@ -208,7 +228,7 @@ def build_parser():
     def add_nbar_grid(p, lo, hi, points):
         p.add_argument("--nbar-min", type=_finite_float, default=lo)
         p.add_argument("--nbar-max", type=_finite_float, default=hi)
-        p.add_argument("--points", type=int, default=points)
+        p.add_argument("--points", type=_grid_points, default=points)
 
     p = add_subcommand("limits", cmd_limits, "PIE of the capacity families on a log nbar grid")
     add_nbar_grid(p, 1e-6, 10.0, 200)
@@ -220,7 +240,7 @@ def build_parser():
     p.add_argument("--modes-list", default="1,2,10,100,189")
     p.add_argument("--nr-min", type=_finite_float, default=1e-3)
     p.add_argument("--nr-max", type=_finite_float, default=10.0)
-    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--points", type=_grid_points, default=200)
 
     p = add_subcommand("superchannel", cmd_superchannel, "capacity and PIE of one receiver family")
     p.add_argument("--family", required=True,
@@ -249,7 +269,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        payload = args.run(args)
+        _emit(args.run(args), args)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         raise SystemExit(2)
@@ -259,7 +279,6 @@ def main(argv=None):
     except ArithmeticError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
-    _emit(payload, args)
     return 0
 
 

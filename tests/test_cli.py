@@ -24,12 +24,13 @@ def run(capsys, argv):
 
 
 def usage_error_line(capsys, argv):
-    """Run argv; assert exit 2 with one ``error: `` line on stderr and no stdout."""
+    """Run argv; assert exit 2 with one ``error: `` line on stderr and no stdout; return it."""
     with pytest.raises(SystemExit) as excinfo:
         cli.main(argv)
     captured = capsys.readouterr()
     assert excinfo.value.code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
 
 
 def manifest_bytes(subcommand, params, seed, payload):
@@ -151,6 +152,10 @@ class TestTradeoff:
 
     def test_zero_modes_usage_error(self, capsys):
         usage_error_line(capsys, ["tradeoff", "--modes-list", "0"])
+
+    def test_bad_element_names_the_option(self, capsys):
+        err = usage_error_line(capsys, ["tradeoff", "--modes-list", "2,x"])
+        assert err.startswith("error: bad --modes-list '2,x'; ")
 
     def test_mode_count_beyond_a_double_usage_error(self, capsys):
         usage_error_line(capsys, ["tradeoff", "--modes-list", "1" + "0" * 400, "--points", "2"])
@@ -336,6 +341,13 @@ class TestLink:
     def test_value_error_one_line(self, capsys, flags):
         usage_error_line(capsys, with_flags(self.ARGS, flags))
 
+    @pytest.mark.parametrize("flag,value", [("--radii", "x"), ("--radii", "0.07,x"),
+                                            ("--areas", "1,x")])
+    def test_bad_element_names_the_option(self, capsys, flag, value):
+        argv = self.ARGS[:5] + [flag, value] + self.ARGS[7:]
+        err = usage_error_line(capsys, argv)
+        assert err.startswith(f"error: bad {flag} {value!r}; ")
+
     @pytest.mark.parametrize("flags", [["--pie", "1e-310", "--se", "1e-310"],
                                        ["--radii", "-0.07"]])
     def test_usage_error_exits_in_time(self, flags):
@@ -479,6 +491,24 @@ class TestContractProperty:
     """The documented CLI contract over every subcommand's edge arguments:
     exit 0, 2 or 3 with no traceback, nothing on stdout with a usage error,
     and only finite numbers in a successful output."""
+
+    @pytest.mark.parametrize("sub", ["limits", "tradeoff", "superchannel", "ber"])
+    @pytest.mark.parametrize("points", ["1", "10001"])
+    def test_points_beyond_the_bounds_usage_error(self, capsys, sub, points):
+        family = ["--family", "rm_gm", "--m", "3"] if sub == "superchannel" else []
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([sub, *family, "--points", points])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2 and captured.out == ""
+        assert "error: argument --points: " in captured.err
+
+    @pytest.mark.parametrize("target", ["missing/out.csv", "taken"])
+    def test_unwritable_out_usage_error(self, capsys, tmp_path, target):
+        (tmp_path / "taken").mkdir()
+        err = usage_error_line(capsys, ["limits", "--points", "2", "--families", "ultimate",
+                                        "--out", str(tmp_path / target)])
+        assert err.startswith("error: cannot write --out ")
+        assert [p.name for p in tmp_path.rglob("*")] == ["taken"]
 
     @pytest.mark.parametrize("sub", ["limits", "tradeoff", "superchannel", "ber", "link"])
     @given(data=st.data())
