@@ -5,16 +5,19 @@ manifest: the subcommand, its parameters (every parsed option but ``--out``
 and ``--seed``), any seed, the tool version, and a checksum of the emitted
 bytes. Reruns with an identical manifest produce byte-identical output.
 Exit codes: 0 success, 2 usage error (an option argparse rejects, any
-ValueError, or an ``--out`` that cannot be written, printed as one
-``error: <message>`` line), 3 numerical failure
+ValueError, or an ``--out`` that cannot be written, checked before any
+work is done, printed as one ``error: <message>`` line), 3 numerical failure
 (a solver that did not converge, or an ArithmeticError such as a failed
 consistency or row-sum check).
 """
 
 import argparse
+import errno
+import functools
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -60,6 +63,20 @@ def _emit(payload, args):
     else:
         sys.stdout.write(payload)
         sys.stderr.write(manifest)
+
+
+def _check_out(path):
+    """Refuse an --out that cannot be written, before the subcommand spends any work."""
+    target = Path(path)
+    if target.is_dir():
+        code = errno.EISDIR
+    elif not target.parent.is_dir():
+        code = errno.ENOENT
+    elif not os.access(target.parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ValueError(f"cannot write --out {path!r}: {os.strerror(code)}")
 
 
 def _log_grid(lo, hi, points, name):
@@ -211,7 +228,9 @@ def cmd_link(args):
     return json.dumps(report, indent=2) + "\n"
 
 
+@functools.cache
 def build_parser():
+    """The CLI's argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="jdrcap",
         description="Capacities and joint-detection receiver data for coherent-state optics",
@@ -269,6 +288,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         _emit(args.run(args), args)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -9,6 +9,8 @@ the mutual information (and, for the MPE receiver, solves the measurement)
 for the whole grid in one stacked array call.
 """
 
+import math
+
 import numpy as np
 
 from . import discrimination, optics_sim
@@ -78,8 +80,11 @@ def prior_scan_max(fn, lo=0.0, hi=0.5, resolution=33):
 
     ``fn`` maps an array x of shape (N, M), or (1, M) for the grid that all
     rows share, to the (N, M) values of row n's function at x[n]; every row
-    takes the same steps. Deterministic; flat stretches resolve to the
-    smallest argument. Returns arrays (x_star, value) of shape (N,).
+    takes the same steps. The golden-section steps go on until the bracket
+    is narrower than sqrt(eps) (hi - lo): below that width the value of a
+    smooth maximum moves by less than an ulp. Deterministic; flat stretches
+    resolve to the smallest argument. Returns arrays (x_star, value) of
+    shape (N,).
     """
     if resolution < 3:
         raise ValueError(f"need resolution >= 3, got {resolution}")
@@ -93,7 +98,9 @@ def prior_scan_max(fn, lo=0.0, hi=0.5, resolution=33):
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = fn(np.stack([c, d], axis=1)).T
-    for _ in range(60):
+    # the bracket starts two grid spacings wide and shrinks by inv_phi a step
+    width = math.sqrt(np.finfo(float).eps) * (resolution - 1) / 2.0
+    for _ in range(max(0, math.ceil(math.log(width) / math.log(inv_phi)))):
         left = fc >= fd             # keep [a, d]: d <- c and a new c; else [c, b]
         a, b = np.where(left, a, c), np.where(left, d, b)
         x = np.where(left, b - inv_phi * (b - a), a + inv_phi * (b - a))
@@ -118,8 +125,10 @@ def two_symbol_ratio_curve(nbar_grid, receiver="structured"):
     I2 is the best per-symbol mutual information of the (2,3,1)
     superchannel over the prior family (1-2p, p, p); for the MPE receiver
     the measurement is re-optimized for each prior before the mutual
-    information is evaluated. One prior scan covers the whole grid: each
-    of its steps is one array computation over every nbar. Returns the
+    information is evaluated, each solve starting from the weights at the
+    best prior of the scan's previous evaluation (the grid's argmax, then
+    the last golden-section point). One prior scan covers the whole grid:
+    each of its steps is one array computation over every nbar. Returns the
     arrays (i2, c1), aligned with the grid; the ratio is i2 / c1.
     """
     nbar_grid = np.asarray(nbar_grid, dtype=float)
@@ -134,13 +143,18 @@ def two_symbol_ratio_curve(nbar_grid, receiver="structured"):
 
     elif receiver == "mpe":
         grams = discrimination._code_grams(two_symbol_code(), nbar_grid)[:, None]
+        w0 = None               # per nbar, the weights at the last evaluation's best prior
 
         def value(p):
+            nonlocal w0
             priors = _prior_family(np.broadcast_to(p, (n, p.shape[1])))
             stack = discrimination._mpe_stack(
                 np.broadcast_to(grams, priors.shape + (3,)).reshape(-1, 3, 3),
-                priors.reshape(-1, 3))
-            return _mutual_information(stack.rows.reshape(priors.shape + (3,)), priors) / 2.0
+                priors.reshape(-1, 3),
+                w0=None if w0 is None else np.broadcast_to(w0, priors.shape).reshape(-1, 3))
+            v = _mutual_information(stack.rows.reshape(priors.shape + (3,)), priors) / 2.0
+            w0 = stack.weights.reshape(priors.shape)[np.arange(n), np.argmax(v, axis=1), None]
+            return v
 
     else:
         raise ValueError(f"unknown receiver {receiver!r}; use 'structured' or 'mpe'")

@@ -122,6 +122,53 @@ def rm_mpe_mp(m, nbar, dps=60):
         return max(num, 0) / n
 
 
+def two_symbol_mpe_mp(nbar, p, dps=50):
+    """I(X;Y) in bits of the (2,3,1) code's minimum-error measurement at priors
+    (1-2p, p, p), in mpmath, by maximizing the success over measurement bases.
+
+    The states |aa>, |a,-a>, |-a,a> have overlaps s = e^{-2 nbar} with the
+    first and s^2 with each other, so in the orthonormal frame (u, v, a) of
+    their span, with u the first state and a along the difference of the
+    other two, they read (1, 0, 0) and (s, c, +-c) with c^2 = (1 - s^2)/2.
+    They are linearly independent, so the minimum-error measurement is the
+    orthonormal basis of the span with the highest success, and, being
+    unique, it is mapped to itself by the swap of the last two states. Such
+    bases are (cos t, sin t, 0) and (-sin t, cos t, +-sigma)/sqrt2 for an
+    angle t and a sign sigma, with success
+    S(t) = (1-2p) cos^2 t + p (c cos t - s sin t + sigma c)^2. The best t of
+    a 720-point float scan of each sign is refined to a root of S'(t).
+    """
+    with mp.workdps(dps):
+        p = mp.mpf(p)
+        s = mp.exp(-2 * mp.mpf(nbar))
+        c = mp.sqrt(-mp.expm1(-4 * mp.mpf(nbar)) / 2)
+
+        def success(t, sigma, p=p, s=s, c=c, cos=mp.cos, sin=mp.sin):
+            return (1 - 2 * p) * cos(t) ** 2 + p * (c * cos(t) - s * sin(t) + sigma * c) ** 2
+
+        def slope(t, sigma):
+            g = c * mp.cos(t) - s * mp.sin(t) + sigma * c
+            return -(1 - 2 * p) * mp.sin(2 * t) - 2 * p * g * (c * mp.sin(t) + s * mp.cos(t))
+
+        scan = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+        optima = []
+        for sigma in (1, -1):
+            values = success(scan, sigma, float(p), float(s), float(c), np.cos, np.sin)
+            t = mp.findroot(lambda x: slope(x, sigma), mp.mpf(scan[int(np.argmax(values))]))
+            optima.append((success(t, sigma), t, sigma))
+        _, t, sigma = max(optima)
+        states = [(1, 0, 0), (s, c, c), (s, c, -c)]
+        h = 1 / mp.sqrt(2)
+        basis = [(mp.cos(t), mp.sin(t), 0),
+                 (-h * mp.sin(t), h * mp.cos(t), h * sigma),
+                 (-h * mp.sin(t), h * mp.cos(t), -h * sigma)]
+        P = [[mp.fsum(x * y for x, y in zip(psi, e)) ** 2 for e in basis] for psi in states]
+        r = (1 - 2 * p, p, p)
+        out = [mp.fsum(r[i] * P[i][j] for i in range(3)) for j in range(3)]
+        return mp.fsum(r[i] * P[i][j] * mp.log(P[i][j] / out[j], 2)
+                       for i in range(3) for j in range(3) if r[i] > 0 and P[i][j] > 0)
+
+
 def bsc_capacity(q):
     return 1.0 - binary_entropy(q)
 

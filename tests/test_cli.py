@@ -272,6 +272,17 @@ class TestBer:
         params = {"m": 2, "nbar_min": 1e-3, "nbar_max": 0.1, "points": 2, "trials": 10000}
         assert manifest == manifest_bytes("ber", params, int(seed), payload)
 
+    def test_unwritable_out_fails_before_the_monte_carlo(self, capsys, monkeypatch, tmp_path):
+        # with a generated seed, a run that reached the write printed the seed line too
+        def unexpected(*args):
+            raise AssertionError("the Monte Carlo ran")
+
+        monkeypatch.setattr(cli, "hadamard_dr_ber", unexpected)
+        err = usage_error_line(capsys, ["ber", "--m", "2", "--points", "2", "--trials", "10000",
+                                        "--out", str(tmp_path / "missing" / "x.csv")])
+        assert err.startswith("error: cannot write --out ")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("m", ["0", "11"])
     def test_m_out_of_range_usage_error(self, capsys, m):
         with pytest.raises(SystemExit) as excinfo:
@@ -435,6 +446,20 @@ class TestDeterminism:
         ma = json.loads((tmp_path / "x.csv.manifest.json").read_text())
         mb = json.loads((tmp_path / "y.csv.manifest.json").read_text())
         assert ma["output_sha256"] == mb["output_sha256"]
+
+    def test_runs_sharing_one_parser_byte_identical(self, tmp_path):
+        # the parser is built once per process; no run may leave state in it for the next
+        ber = ["ber", "--m", "2", "--points", "2", "--trials", "10000", "--seed", "3"]
+        limits = ["limits", "--points", "3", "--families", "ultimate"]
+        first = written(tmp_path, ber)
+        payload, manifest = written(tmp_path, limits)
+        assert written(tmp_path, ber) == first
+        assert cli.build_parser() is cli.build_parser()
+        params = {"nbar_min": 1e-6, "nbar_max": 10.0, "points": 3, "families": ["ultimate"],
+                  "m_max": 10}
+        assert manifest == manifest_bytes("limits", params, None, payload)
+        ber_params = {"m": 2, "nbar_min": 1e-3, "nbar_max": 0.1, "points": 2, "trials": 10000}
+        assert first[1] == manifest_bytes("ber", ber_params, 3, first[0])
 
 
 # argument values at and beyond the documented edges, as the shell passes them;

@@ -8,6 +8,8 @@ from jdrcap.capacity_limits import dolinar_error_q, rm_mpe_capacity
 from jdrcap.codes import hadamard_code, rm1_code, two_symbol_code
 from jdrcap.superchannel import mutual_information
 
+from oracles import two_symbol_mpe_mp
+
 
 def binary_ensemble(overlap, p1):
     G = np.array([[1.0, overlap], [overlap, 1.0]])
@@ -189,6 +191,19 @@ class TestMpeSolve:
         assert len(sums) == 33
         assert np.max(np.abs(np.array(sums) - 1.0)) < 1e-10
 
+    @pytest.mark.parametrize("nbar", [1e-6, 1e-5, 1e-3, 0.1, 2.0])
+    @pytest.mark.parametrize("p", [0.05, 0.2, 0.33, 0.45])
+    def test_two_symbol_mutual_information_matches_the_basis_oracle(self, nbar, p):
+        # the oracle maximizes the success over measurement bases in mpmath, sharing
+        # nothing with the weight iteration; a solve stopped on its success gain misses
+        # by up to 9.5e-6 relative at nbar = 1e-6
+        priors = np.array([1 - 2 * p, p, p])
+        gram = disc.gram_from_code(two_symbol_code(), nbar).gram
+        result = disc.mpe_solve(disc.PureStateEnsemble(gram=gram, priors=priors))
+        expected = float(two_symbol_mpe_mp(nbar, p))
+        rel = abs(mutual_information(result.channel, priors) / expected - 1.0)
+        assert rel <= (1e-9 if nbar < 1e-5 else 1e-10)
+
     def test_max_iter_exhaustion_reports_best(self):
         from jdrcap.dmc import ConvergenceError
         ens = binary_ensemble(0.9, 0.4)
@@ -271,6 +286,26 @@ class TestMpeStack:
             assert best.success[i] == alone.value.best.success[0]
             assert best.iterations[i] == 3
             assert srm_success(grams[i], priors[i]) - 1e-12 <= best.success[i] <= 1.0
+
+    def test_warm_start_ends_at_the_same_measurement(self):
+        # each stop is within the residual tolerance of the fixed point; near merging
+        # states the SRM turns a 1e-12 weight residual into up to ~1e-11 in the rows
+        rng = np.random.default_rng(11)
+        grams, priors = mixed_batch()
+        grams, priors = grams[33:], priors[33:]       # nbar 1e-3, 0.1 and 2
+        cold = disc._mpe_stack(grams, priors)
+        w0 = priors * np.exp(rng.uniform(-1.0, 1.0, size=priors.shape))
+        warm = disc._mpe_stack(grams, priors, w0=w0)
+        assert not np.array_equal(warm.iterations, cold.iterations)
+        assert np.max(np.abs(warm.rows - cold.rows)) <= 1e-10
+
+    def test_start_at_the_stop_weights_stops_at_once(self):
+        grams, priors = mixed_batch()
+        cold = disc._mpe_stack(grams, priors)
+        again = disc._mpe_stack(grams, priors, w0=cold.weights)
+        assert np.all(again.iterations == 0)
+        # the start is normalised again, which can move a weight by an ulp
+        assert np.max(np.abs(again.rows - cold.rows)) <= 1e-13
 
     def test_sqrtm_stack_matches_each_matrix(self):
         rng = np.random.default_rng(3)

@@ -116,6 +116,18 @@ class TestPriorScanMax:
         brute = max(fn(p) for p in dense)
         assert v == pytest.approx(brute, abs=1e-6)
 
+    @pytest.mark.parametrize("resolution, golden_steps", [(33, 32), (3, 38)])
+    def test_golden_steps_stop_below_sqrt_eps_of_the_range(self, resolution, golden_steps):
+        calls = []
+
+        def fn(p):
+            calls.append(p.shape)
+            return -(p - 0.31234) ** 2
+
+        (x,), _ = sc.prior_scan_max(fn, 0.0, 0.5, resolution)
+        assert calls == [(1, resolution), (1, 2)] + [(1, 1)] * golden_steps
+        assert x == pytest.approx(0.31234, abs=np.sqrt(np.finfo(float).eps) * 0.5)
+
     def test_rejects_tiny_resolution(self):
         with pytest.raises(ValueError):
             sc.prior_scan_max(lambda p: p, resolution=2)
