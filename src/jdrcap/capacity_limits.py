@@ -148,41 +148,49 @@ def hadamard_jdr_capacity(m, nbar):
     return _float_or_array((m / n) * -np.expm1(-n * _photons(nbar)))
 
 
+def _rm_gm_pulse(m, nbar):
+    """(nP, (1 - p0)/2, f(nP)) of the RM(1,m) receiver, nP = 2^m nbar; checks f <= (1-p0)/2."""
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
+    n_pulse = (2 ** m) * _photons(nbar)
+    half = -np.expm1(-n_pulse) / 2.0
+    f = f_integral(n_pulse)
+    if np.any(half - f < -1e-12):
+        raise ConsistencyError(
+            f"f({n_pulse}) = {f} exceeds (1-p0)/2 = {half}; closed-form bound violated"
+        )
+    return n_pulse, half, f
+
+
 def rm_gm_outcome_probs(m, nbar):
     """Outcome probabilities (p_plus, p_minus, p_erasure) of the RM(1,m) receiver.
 
     p0 = e^{-nP} with nP = 2^m nbar the pulse energy at the Green Machine
     output, and p_pm = (1 - p0)/2 +- f(nP).
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    n_pulse = (2 ** m) * _photons(nbar)
-    p0 = np.exp(-n_pulse)
-    half = -np.expm1(-n_pulse) / 2.0
-    f = f_integral(n_pulse)
-    p_plus = half + f
-    p_minus = half - f
-    if np.any(p_minus < -1e-12):
-        raise ConsistencyError(
-            f"f({n_pulse}) = {f} exceeds (1-p0)/2 = {half}; closed-form bound violated"
-        )
-    p_minus = np.maximum(p_minus, 0.0)
-    return _float_or_array(p_plus), _float_or_array(p_minus), _float_or_array(p0)
+    n_pulse, half, f = _rm_gm_pulse(m, nbar)
+    p_minus = np.maximum(half - f, 0.0)
+    return _float_or_array(half + f), _float_or_array(p_minus), _float_or_array(np.exp(-n_pulse))
 
 
 def rm_gm_jdr_capacity(m, nbar):
     """Superchannel capacity of the RM(1,m) code + Green Machine + SPD/Dolinar chain.
 
-    [(1-p0)(m+1) + H(p0, 1-p0) - H(p+, p-, p0)] / 2^m bits/symbol.
+    [(1-p0)(m+1) + H(p0, 1-p0) - H(p+, p-, p0)] / 2^m bits/symbol. With
+    ne = 1 - p0 and p_pm = ne (1 +- y)/2, y = 2 f(nP)/ne, the p0 terms cancel
+    identically and the rest is, without cancellation,
+
+        ne m + ne [(1+y) log1p(y) + (1-y) log1p(-y)] / (2 ln 2),
+
+    with 0 log 0 = 0 at y = 1.
     """
-    p_plus, p_minus, p0 = rm_gm_outcome_probs(m, nbar)
-    not_erased = -np.expm1(-(2 ** m) * np.asarray(nbar, dtype=float))
-    num = (
-        not_erased * (m + 1)
-        - (xlog2(p0) + xlog2(not_erased))
-        + (xlog2(p_plus) + xlog2(p_minus) + xlog2(p0))
-    )
-    return _float_or_array(np.maximum(num, 0.0) / (2 ** m))
+    _, half, f = _rm_gm_pulse(m, nbar)
+    not_erased = 2.0 * half
+    y = np.minimum(np.divide(f, half, out=np.zeros_like(half), where=half > 0), 1.0)
+    # log1p(-1) = -inf only where its factor 1 - y is 0
+    tail = np.log1p(-y, out=np.zeros_like(y), where=y < 1.0)
+    mix = ((1.0 + y) * np.log1p(y) + (1.0 - y) * tail) / (2.0 * LN2)
+    return _float_or_array(not_erased * (m + mix) / (2 ** m))
 
 
 def rm_mpe_capacity(m, nbar):

@@ -3,8 +3,11 @@
 A codebook of coherent-state codewords is represented by its Gram matrix G
 of inner products and a prior vector; every measurement here is expressed in
 the K-dimensional span of the codewords, so no exponential state space is
-ever formed. One kernel does the linear algebra: the weighted square-root
-measurement (SRM) with weights w, whose channel is
+ever formed. A BPSK codebook's Gram takes its Hamming distances from one
+product of the codeword matrix, in O(K^2 + Kn) memory, and an ensemble is
+proved PSD by one Cholesky factorisation, with the eigenvalues computed
+only where that fails. One kernel does the linear algebra: the weighted
+square-root measurement (SRM) with weights w, whose channel is
 
     P(j|i) = (What^{1/2})_ij^2 / w_i,   What = D G D,  D = diag(sqrt w)
 
@@ -38,12 +41,38 @@ class NotPSDError(ValueError):
     """Matrix eigenvalues fall below the PSD clamp threshold."""
 
 
+def _cholesky_psd(G):
+    """Whether a Cholesky factorisation proves the unit-diagonal G PSD to the clamp.
+
+    A symmetric G with unit diagonal has lambda_max >= 1. A computed Cholesky
+    factor of G + (tol/2) I, tol = EIG_CLAMP_REL, is exact for that matrix
+    perturbed by at most about K (K + 1) u in the 2-norm (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 10). So if it exists,
+    lambda_min(G) > -tol >= -tol max(1, lambda_max) while that perturbation
+    is below tol/2, i.e. for K <= 670. A failure, or a larger K, proves
+    nothing.
+    """
+    K = len(G)
+    if K * (K + 1) * np.finfo(float).eps / 2 >= EIG_CLAMP_REL / 2:
+        return False
+    shifted = G.copy()
+    shifted.flat[::K + 1] += EIG_CLAMP_REL / 2
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 @dataclass(frozen=True, eq=False)
 class PureStateEnsemble:
     """Gram matrix of codeword inner products plus prior probabilities.
 
     The Gram matrix is validated and symmetrised here, once, so the solvers
-    below work on it without checking it again.
+    below work on it without checking it again. It must have lambda_min >=
+    -EIG_CLAMP_REL max(1, lambda_max), else NotPSDError; a Cholesky
+    factorisation proves that (_cholesky_psd), and only where it cannot do
+    the eigenvalues decide.
     """
 
     gram: np.ndarray = field(repr=False)
@@ -60,12 +89,13 @@ class PureStateEnsemble:
             raise ValueError("Gram matrix must be symmetric")
         if not np.allclose(np.diag(G), 1.0, atol=1e-12):
             raise ValueError("Gram matrix must have unit diagonal")
-        if np.any(p < 0) or abs(p.sum() - 1.0) > PRIOR_SUM_TOL:
+        if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= PRIOR_SUM_TOL):     # NaN fails too
             raise ValueError("priors must be nonnegative and sum to 1")
         G = 0.5 * (G + G.T)
-        lam = np.linalg.eigvalsh(G)
-        if lam[0] < -EIG_CLAMP_REL * max(1.0, float(np.max(np.abs(lam)))):
-            raise NotPSDError(f"Gram matrix has eigenvalue {lam[0]}")
+        if not _cholesky_psd(G):
+            lam = np.linalg.eigvalsh(G)
+            if lam[0] < -EIG_CLAMP_REL * max(1.0, float(np.max(np.abs(lam)))):
+                raise NotPSDError(f"Gram matrix has eigenvalue {lam[0]}")
         G.setflags(write=False)
         p = p.copy()
         p.setflags(write=False)
@@ -90,8 +120,14 @@ def _code_grams(code, nbar):
     product of the per-symbol overlaps <alpha|-alpha> = e^{-2 nbar}.
     """
     nbar = _photons(nbar)
-    cw = code.codewords
-    dist = np.count_nonzero(cw[:, None, :] != cw[None, :, :], axis=2)
+    cw = code.codewords.astype(float)
+    # d_ij = |c_i| + |c_j| - 2 <c_i, c_j> from one product, in O(K^2) memory; every
+    # term is an integer at most 2n, so float64 holds each exactly
+    weight = cw.sum(axis=1)
+    dist = cw @ cw.T
+    dist *= -2.0
+    dist += weight[:, None]
+    dist += weight
     return np.exp(-2.0 * nbar[..., None, None] * dist)
 
 
@@ -128,9 +164,15 @@ def _srm_rows(gram, w):
     weight in any mutual information).
     """
     d = np.sqrt(w)
-    root = sqrtm_psd(d[..., :, None] * gram * d[..., None, :])
-    live = (w > 0)[..., None]
-    return np.where(live, root ** 2 / np.where(live, w[..., None], 1.0), 1.0 / w.shape[-1])
+    weighted = d[..., :, None] * gram
+    weighted *= d[..., None, :]
+    # sqrtm_psd returns a fresh array, so the rows are formed in it
+    rows = sqrtm_psd(weighted)
+    rows *= rows
+    live = w > 0
+    rows /= np.where(live, w, 1.0)[..., None]
+    rows[~live] = 1.0 / w.shape[-1]
+    return rows
 
 
 def _stochastic_rows(rows, tol=1e-8):
@@ -163,7 +205,7 @@ def helstrom_binary(overlap_sq, p1, p2):
     """Minimum error probability for two pure states: (1 - sqrt(1 - 4 p1 p2 s^2))/2."""
     if not 0.0 <= overlap_sq <= 1.0:
         raise ValueError(f"overlap^2 must be in [0,1], got {overlap_sq}")
-    if p1 < 0 or p2 < 0 or abs(p1 + p2 - 1.0) > 1e-12:
+    if not (p1 >= 0 and p2 >= 0 and abs(p1 + p2 - 1.0) <= 1e-12):     # NaN fails too
         raise ValueError(f"priors must be nonnegative and sum to 1, got {p1}, {p2}")
     return 0.5 * (1.0 - np.sqrt(1.0 - 4.0 * p1 * p2 * overlap_sq))
 

@@ -24,7 +24,7 @@ def mutual_information(channel, priors):
     r = np.asarray(priors, dtype=float)
     if r.shape != (channel.num_inputs,):
         raise ValueError(f"priors length {r.shape} != {channel.num_inputs} inputs")
-    if np.any(r < 0) or abs(r.sum() - 1.0) > 1e-9:
+    if not (np.all(r >= 0) and abs(r.sum() - 1.0) <= 1e-9):     # NaN fails too
         raise ValueError("priors must be nonnegative and sum to 1")
     return float(_mutual_information(channel.p, r))
 

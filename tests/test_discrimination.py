@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from jdrcap import discrimination as disc
 from jdrcap.capacity_limits import dolinar_error_q, rm_mpe_capacity
-from jdrcap.codes import hadamard_code, rm1_code, two_symbol_code
+from jdrcap.codes import hadamard_code, rm1_code, sylvester_hadamard, two_symbol_code
 from jdrcap.superchannel import mutual_information
 
 from oracles import two_symbol_mpe_mp
@@ -64,6 +66,95 @@ class TestGramFromCode:
         assert grams.shape == (len(grid), code.size, code.size)
         for k, nbar in enumerate(grid):
             assert np.array_equal(grams[k], disc.gram_from_code(code, nbar).gram)
+
+
+def rowwise_distances(codewords):
+    """Pairwise Hamming distances, one codeword against all at a time."""
+    return np.array([np.count_nonzero(codewords != c, axis=1) for c in codewords])
+
+
+class TestCodeGramDistances:
+    @pytest.mark.parametrize("code", [two_symbol_code()]
+                             + [hadamard_code(m, with_ancilla=a) for m in range(1, 9)
+                                for a in (False, True)]
+                             + [rm1_code(m) for m in range(1, 9)],
+                             ids=lambda c: f"{c.family}-{c.n}-{c.size}")
+    def test_matches_rowwise_hamming_bit_for_bit(self, code):
+        nbar = np.array([0.0, 1e-3, 0.37])
+        dist = rowwise_distances(code.codewords)
+        expected = np.exp(-2.0 * nbar[:, None, None] * dist)
+        assert np.array_equal(disc._code_grams(code, nbar), expected)
+
+    def test_rm8_gram_allocates_no_k_k_n_array(self):
+        # K = 512, n = 256: a (K, K, n) boolean temporary alone is 64 MB
+        code = rm1_code(8)
+        tracemalloc.start()
+        try:
+            disc._code_grams(code, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+
+def unit_diagonal_gram(lam):
+    """A symmetric matrix with eigenvalues ``lam`` (mean 1) and unit diagonal.
+
+    Every entry of the orthonormal Sylvester basis H / sqrt(K) has square
+    1/K, so each diagonal entry of H diag(lam) H^T / K is mean(lam) = 1.
+    """
+    K = len(lam)
+    H = sylvester_hadamard(K.bit_length() - 1) / np.sqrt(K)
+    G = (H * lam) @ H.T
+    np.fill_diagonal(G, 1.0)
+    return G
+
+
+def eigvalsh_rule(G):
+    """The validation rule by eigenvalues: the NotPSDError message, or None to accept."""
+    lam = np.linalg.eigvalsh(0.5 * (G + G.T))
+    if lam[0] < -disc.EIG_CLAMP_REL * max(1.0, float(np.max(np.abs(lam)))):
+        return f"Gram matrix has eigenvalue {lam[0]}"
+    return None
+
+
+class TestPsdValidation:
+    # lambda_min as a multiple of the clamp -EIG_CLAMP_REL max(1, lambda_max): the
+    # Cholesky shortcut decides above -EIG_CLAMP_REL / 2 (at lambda_max ~ 205 only
+    # the first), the eigenvalue fallback below it
+    INSIDE = (-0.001, -0.25, -0.49, -0.51, -0.75, -0.99)
+    OUTSIDE = (-1.01, -1.5, -1e3)
+
+    @staticmethod
+    def spectrum(K, lam_max, multiple):
+        # lambda_max ~ 1 + 1/K when the rest share the trace, else the rest are 0.2
+        lam_min = multiple * disc.EIG_CLAMP_REL * max(1.0, lam_max)
+        lam = np.full(K, (K - lam_min - lam_max) / (K - 2))
+        lam[0], lam[-1] = lam_min, lam_max
+        return lam
+
+    @pytest.mark.parametrize("K,lam_max", [(64, 64 / 63), (256, 256 - 0.2 * 254)],
+                             ids=["lam_max~1", "lam_max~205"])
+    @pytest.mark.parametrize("multiple", INSIDE + OUTSIDE)
+    def test_decides_and_words_as_the_eigvalsh_rule(self, K, lam_max, multiple):
+        G = unit_diagonal_gram(self.spectrum(K, lam_max, multiple))
+        expected = eigvalsh_rule(G)
+        assert (expected is None) == (multiple in self.INSIDE)
+        if expected is None:
+            disc.PureStateEnsemble(gram=G, priors=np.full(K, 1.0 / K))
+        else:
+            with pytest.raises(disc.NotPSDError) as err:
+                disc.PureStateEnsemble(gram=G, priors=np.full(K, 1.0 / K))
+            assert str(err.value) == expected
+
+    def test_code_gram_is_accepted_without_eigenvalues(self, monkeypatch):
+        G = disc.gram_from_code(rm1_code(7), 0.01).gram
+
+        def refuse(_):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        disc.PureStateEnsemble(gram=G, priors=np.full(len(G), 1.0 / len(G)))
 
 
 class TestSqrtmPsd:
@@ -130,6 +221,10 @@ class TestHelstromBinary:
             disc.helstrom_binary(1.5, 0.5, 0.5)
         with pytest.raises(ValueError):
             disc.helstrom_binary(0.5, 0.7, 0.7)
+
+    def test_rejects_nan_prior(self):
+        with pytest.raises(ValueError, match="priors"):
+            disc.helstrom_binary(0.3, np.nan, 1.0)
 
 
 class TestMpeSolve:
@@ -330,6 +425,11 @@ class TestEnsembleValidation:
     def test_rejects_bad_priors(self):
         with pytest.raises(ValueError):
             disc.PureStateEnsemble(gram=np.eye(2), priors=np.array([0.7, 0.5]))
+
+    @pytest.mark.parametrize("priors", [[np.nan, 1.0], [np.nan, np.nan]])
+    def test_rejects_nan_priors(self, priors):
+        with pytest.raises(ValueError, match="priors"):
+            disc.PureStateEnsemble(gram=np.eye(2), priors=np.array(priors))
 
     def test_rejects_non_psd(self):
         G = np.array([[1.0, 1.2], [1.2, 1.0]])

@@ -52,6 +52,10 @@ class TestMutualInformation:
         with pytest.raises(ValueError):
             sc.mutual_information(bsc(0.1), [0.7, 0.5])
 
+    def test_rejects_nan_priors(self):
+        with pytest.raises(ValueError, match="priors"):
+            sc.mutual_information(bsc(0.1), [np.nan, 1.0])
+
 
 class TestBlahutArimoto:
     def test_bsc(self):
