@@ -24,11 +24,14 @@ seeded by the seed's first spawned child ``SeedSequence``, is below
 ``ceil(f * 2^53) << 11``, the cut that ``Generator.random`` puts at f; that
 stream is consumed over the ties in trial-major order across the whole call.
 A flip then has probability k/256 + ceil(f * 2^53) / 2^61 =
-ceil(q * 2^61) / 2^61, which is q to within 2^-61. The bytes are read in
-blocks of a multiple of 8 trials, sized by the decode workspace, so each
-block is a whole number of words and is flipped, decoded and counted while
-it is still in cache; the block size does not change which byte flips which
-symbol.
+ceil(q * 2^61) / 2^61, which is q to within 2^-61.
+
+The bytes are read in blocks of a multiple of 8 trials, so each block is a
+whole number of words. A block's flips are packed to bits, one row of
+2^m bits (padded to 8) per trial with the pilot as bit 0, XORed with the
+packed sent codewords and decoded by ``codes._argmin_decode``. The block
+size only sets how much of that work stays in cache at once: it does not
+change which byte flips which symbol.
 """
 
 import math
@@ -38,16 +41,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity_limits import _photons, dolinar_error_q
-from .codes import _argmin_decode, hadamard_code
+from .codes import _argmin_decode, _pack_rows, hadamard_code
 from .entropy import _float_or_array
 
 # Trials per message draw. It fixes the draw order, so changing it changes
 # every seeded estimate.
 _CHUNK = 50000
-# Float32 entries of the decode workspace per block (512 KiB, a quarter of a
-# 2 MiB L2 cache). It only sets how many of a chunk's trials are decoded at a
-# time, rounded down to a multiple of 8, and can change freely.
-_BLOCK_FLOATS = 1 << 17
+# Trials x 2^m per block: the decode's float32 transform of a block is then
+# 256 KiB. It only sets how many of a chunk's trials are flipped and decoded
+# at a time, rounded down to a multiple of 8, and can change freely.
+_BLOCK_FLOATS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -104,37 +107,34 @@ def hadamard_dr_ber(m, nbar, trials, seed):
         raise ValueError(f"need at least 1e4 trials for a meaningful estimate, got {trials}")
     k, cut = flip_cut(dolinar_error_q(nbar))
     cut = np.uint64(cut)
-    # with the pilot, which is column 0 of the decode's zero-padded words
-    codewords = hadamard_code(m, with_ancilla=True).codewords
-    K = codewords.shape[0]
+    # with the pilot, which is bit 0 of the decode's zero-padded words
+    codewords = np.packbits(hadamard_code(m, with_ancilla=True).codewords, axis=1)
+    K = 2 ** m
     n = K - 1
     rows = 8 * max(1, _BLOCK_FLOATS // (8 * K))
     seeds = np.random.SeedSequence(entropy=int(seed))
     rng = np.random.default_rng(seeds)
     tie_bits = np.random.default_rng(seeds.spawn(1)[0]).bit_generator
     bit_errors = 0
-    # the block buffers and the decode workspace are allocated once per call:
-    # with fresh arrays per block, the freed blocks crossed the allocator's
-    # trim threshold, and every block page-faulted its memory in again. The
-    # pilot column 0 of flips and ties stays False.
-    flips = np.zeros((rows, K), dtype=bool)
-    ties = np.zeros((rows, K), dtype=bool)
-    sent = np.empty((rows, K), dtype=codewords.dtype)
-    padded = np.empty((rows, K), dtype=np.float32)
-    scratch = np.empty_like(padded)
+    # the block buffers are allocated once per call: with fresh arrays per
+    # block, the freed blocks crossed the allocator's trim threshold, and
+    # every block page-faulted its memory in again. The pilot column 0 of
+    # flips and ties stays False, and so do the columns that pad m < 3 to
+    # a byte.
+    flips = np.zeros((rows, max(K, 8)), dtype=bool)
+    ties = np.zeros_like(flips)
     for start in range(0, trials, _CHUNK):
         msg = rng.integers(0, K, size=min(_CHUNK, trials - start))
         for block in np.split(msg, range(rows, msg.size, rows)):
             size = block.size
             symbols = _symbol_bytes(rng.bit_generator, size * n).reshape(size, n)
-            np.less(symbols, k, out=flips[:size, 1:])
-            np.equal(symbols, k, out=ties[:size, 1:])
+            np.less(symbols, k, out=flips[:size, 1:K])
+            np.equal(symbols, k, out=ties[:size, 1:K])
             tied = np.flatnonzero(ties[:size])      # row-major, as the contract says
             flips[:size].reshape(-1)[tied] = tie_bits.random_raw(tied.size) < cut
-            np.take(codewords, block, axis=0, out=sent[:size])
-            # received = sent XOR flips, as the 0/1 floats the decode reads
-            np.not_equal(sent[:size], flips[:size], out=padded[:size])
-            decoded = _argmin_decode(padded[:size], scratch[:size])
+            received = _pack_rows(flips[:size])
+            received ^= np.take(codewords, block, axis=0)
+            decoded = _argmin_decode(received, K)
             bit_errors += int(np.bitwise_count(block ^ decoded).sum())
     total_bits = trials * m
     return BerPoint(ber=bit_errors / total_bits, trials=trials, bit_errors=bit_errors,

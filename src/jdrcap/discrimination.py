@@ -69,10 +69,11 @@ class PureStateEnsemble:
     """Gram matrix of codeword inner products plus prior probabilities.
 
     The Gram matrix is validated and symmetrised here, once, so the solvers
-    below work on it without checking it again. It must have lambda_min >=
-    -EIG_CLAMP_REL max(1, lambda_max), else NotPSDError; a Cholesky
-    factorisation proves that (_cholesky_psd), and only where it cannot do
-    the eigenvalues decide.
+    below work on it without checking it again. Its entries must be finite,
+    symmetric and 1 on the diagonal, each to within 1e-12 absolute. It must
+    have lambda_min >= -EIG_CLAMP_REL max(1, lambda_max), else NotPSDError;
+    a Cholesky factorisation proves that (_cholesky_psd), and only where it
+    cannot do the eigenvalues decide.
     """
 
     gram: np.ndarray = field(repr=False)
@@ -85,9 +86,12 @@ class PureStateEnsemble:
             raise ValueError(f"Gram matrix must be square, got {G.shape}")
         if p.shape != (G.shape[0],):
             raise ValueError("priors length must match Gram size")
-        if not np.allclose(G, G.T, atol=1e-12):
+        if not np.all(np.isfinite(G)):
+            raise ValueError("Gram matrix must be finite")
+        # rtol=0: 1e-12 absolute is the whole allowance
+        if not np.allclose(G, G.T, rtol=0, atol=1e-12):
             raise ValueError("Gram matrix must be symmetric")
-        if not np.allclose(np.diag(G), 1.0, atol=1e-12):
+        if not np.allclose(np.diag(G), 1.0, rtol=0, atol=1e-12):
             raise ValueError("Gram matrix must have unit diagonal")
         if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= PRIOR_SUM_TOL):     # NaN fails too
             raise ValueError("priors must be nonnegative and sum to 1")

@@ -37,6 +37,15 @@ def brute_force_ml(codewords, received):
     return int(np.argmin(dist))
 
 
+def correlation_ml(codewords, words):
+    """Minimum-distance decoding of a (N, n) batch of 0/1 words by a dense
+    +-1 correlation with every codeword in float64. The distance is
+    (n - correlation) / 2, so the first maximum is the first nearest
+    codeword; no transform and no packing."""
+    signs = 1.0 - 2.0 * np.asarray(codewords, dtype=float)
+    return np.argmax((1.0 - 2.0 * np.asarray(words, dtype=float)) @ signs.T, axis=1)
+
+
 def gauss_legendre_f(b, order=200):
     """f(b) by a fixed-order Gauss-Legendre rule on the cusp-free substitution.
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from jdrcap import codes
 
-from oracles import brute_force_ml, dense_walsh
+from oracles import brute_force_ml, correlation_ml, dense_walsh
 
 
 def pairwise_distances(cw):
@@ -246,3 +246,76 @@ class TestMlDecodeHard:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             codes.ml_decode_hard(codes.hadamard_code(2), np.zeros(5, dtype=np.uint8))
+
+    @pytest.mark.parametrize("word", [
+        [2, 0, 0, 0, 0, 0, 0],
+        [0.4] * 7,
+        [-1, 0, 0, 0, 0, 0, 0],
+    ])
+    def test_rejects_non_binary_words(self, word):
+        with pytest.raises(ValueError, match="0 and 1"):
+            codes.ml_decode_hard(codes.hadamard_code(3), word)
+
+    def test_bool_and_float_bits_decode_like_uint8(self):
+        code = codes.rm1_code(4)
+        words = all_words(code.n)[::97]
+        want = codes.ml_decode_hard(code, words)
+        assert np.array_equal(codes.ml_decode_hard(code, words.astype(bool)), want)
+        assert np.array_equal(codes.ml_decode_hard(code, words.astype(float)), want)
+
+
+def big_endian_bits(width):
+    """Row v holds the width bits of v, most significant first."""
+    return ((np.arange(2 ** width)[:, None] >> np.arange(width)[::-1]) & 1).astype(np.int64)
+
+
+def tie_words(code, rng, count):
+    """Words equidistant from two distinct codewords i and j: c_i with half
+    of the coordinates where c_i and c_j differ flipped, and then any
+    coordinates where they agree."""
+    cw = code.codewords
+    words = []
+    for _ in range(count):
+        i, j = rng.choice(code.size, size=2, replace=False)
+        differ = np.flatnonzero(cw[i] != cw[j])
+        if differ.size % 2:
+            continue
+        word = cw[i].copy()
+        word[rng.choice(differ, size=differ.size // 2, replace=False)] ^= 1
+        agree = np.flatnonzero(cw[i] == cw[j])
+        word[agree[rng.random(agree.size) < rng.random() / 4]] ^= 1
+        words.append(word)
+    return np.array(words, dtype=np.uint8).reshape(-1, code.n)
+
+
+class TestPackedDecoder:
+    """The table-and-product decoder on packed words against a dense +-1
+    correlation with every codeword, m = 1..10."""
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 8, 16])
+    def test_chunk_table_is_the_transform_of_its_index(self, width):
+        table = codes._walsh_table(width)
+        assert table.dtype == np.int8 and not table.flags.writeable
+        want = big_endian_bits(width) @ codes.sylvester_hadamard(width.bit_length() - 1)
+        assert np.array_equal(table, want)
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    @pytest.mark.parametrize("make", [
+        lambda m: codes.hadamard_code(m),
+        lambda m: codes.hadamard_code(m, with_ancilla=True),
+        codes.rm1_code,
+    ], ids=["hadamard", "hadamard_pilot", "rm1"])
+    def test_matches_dense_correlation(self, make, m):
+        code = make(m)
+        rng = np.random.default_rng(1000 + m)
+        # random words at every flip rate, and words that tie two codewords
+        sent = code.codewords[rng.integers(code.size, size=64)]
+        random = sent ^ (rng.random(sent.shape) < rng.random((64, 1)) / 2)
+        ties = tie_words(code, rng, 64)
+        for words in (random, ties):
+            assert np.array_equal(codes.ml_decode_hard(code, words),
+                                  correlation_ml(code.codewords, words))
+        if code.d % 2 == 0:
+            # the ties reach the first-minimum rule: two nearest codewords
+            dist = (ties[:, None, :] != code.codewords).sum(axis=2)
+            assert np.any((dist == dist.min(axis=1, keepdims=True)).sum(axis=1) > 1)

@@ -422,6 +422,26 @@ class TestEnsembleValidation:
         with pytest.raises(ValueError):
             disc.PureStateEnsemble(gram=G, priors=np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_gram(self, entry):
+        G = np.array([[1.0, entry], [entry, 1.0]])
+        with pytest.raises(ValueError, match="Gram matrix must be finite"):
+            disc.PureStateEnsemble(gram=G, priors=np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("gram,message", [
+        ([[1.000009, 0.5], [0.500004, 0.999991]], "symmetric"),
+        ([[1.000009, 0.5], [0.5, 1.0]], "unit diagonal"),
+    ])
+    def test_rejects_relative_errors_beyond_the_absolute_bound(self, gram, message):
+        # within numpy's default rtol=1e-5, far beyond 1e-12 absolute
+        with pytest.raises(ValueError, match=message):
+            disc.PureStateEnsemble(gram=np.array(gram), priors=np.array([0.5, 0.5]))
+
+    def test_accepts_round_off_asymmetry(self):
+        G = np.array([[1.0, 0.5], [0.5 + 1e-15, 1.0 - 1e-15]])
+        ens = disc.PureStateEnsemble(gram=G, priors=np.array([0.5, 0.5]))
+        assert ens.gram[0, 1] == ens.gram[1, 0]
+
     def test_rejects_bad_priors(self):
         with pytest.raises(ValueError):
             disc.PureStateEnsemble(gram=np.eye(2), priors=np.array([0.7, 0.5]))
