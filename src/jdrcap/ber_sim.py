@@ -27,11 +27,11 @@ A flip then has probability k/256 + ceil(f * 2^53) / 2^61 =
 ceil(q * 2^61) / 2^61, which is q to within 2^-61.
 
 The bytes are read in blocks of a multiple of 8 trials, so each block is a
-whole number of words. A block's flips are packed to bits, one row of
-2^m bits (padded to 8) per trial with the pilot as bit 0, XORed with the
-packed sent codewords and decoded by ``codes._argmin_decode``. The block
-size only sets how much of that work stays in cache at once: it does not
-change which byte flips which symbol.
+whole number of words. A block's flips are packed to bits by
+``codes._pack_rows``, one 2^m-bit word per trial with the pilot as bit 0,
+XORed with the packed sent codewords and decoded by
+``codes._argmin_decode``. The block size only sets how much of that work
+stays in cache at once: it does not change which byte flips which symbol.
 """
 
 import math
@@ -107,8 +107,8 @@ def hadamard_dr_ber(m, nbar, trials, seed):
         raise ValueError(f"need at least 1e4 trials for a meaningful estimate, got {trials}")
     k, cut = flip_cut(dolinar_error_q(nbar))
     cut = np.uint64(cut)
-    # with the pilot, which is bit 0 of the decode's zero-padded words
-    codewords = np.packbits(hadamard_code(m, with_ancilla=True).codewords, axis=1)
+    # with the pilot, which is bit 0 of the decode's words
+    codewords = _pack_rows(hadamard_code(m, with_ancilla=True).codewords)
     K = 2 ** m
     n = K - 1
     rows = 8 * max(1, _BLOCK_FLOATS // (8 * K))
@@ -119,9 +119,8 @@ def hadamard_dr_ber(m, nbar, trials, seed):
     # the block buffers are allocated once per call: with fresh arrays per
     # block, the freed blocks crossed the allocator's trim threshold, and
     # every block page-faulted its memory in again. The pilot column 0 of
-    # flips and ties stays False, and so do the columns that pad m < 3 to
-    # a byte.
-    flips = np.zeros((rows, max(K, 8)), dtype=bool)
+    # flips and ties stays False.
+    flips = np.zeros((rows, K), dtype=bool)
     ties = np.zeros_like(flips)
     for start in range(0, trials, _CHUNK):
         msg = rng.integers(0, K, size=min(_CHUNK, trials - start))

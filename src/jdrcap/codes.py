@@ -4,9 +4,10 @@ code, fast Walsh-Hadamard transform utilities and the ML hard decoder.
 Bit convention, fixed project-wide: bit 0 <-> amplitude +alpha, bit 1 <-> -alpha.
 The pilot (ancilla) coordinate, when present, is prepended as coordinate 0.
 
-Hard decoding takes 0/1 words only, packed to bytes: the first stage of its
-transform reads each 16-bit chunk from a cached int8 table, as exact as the
-float product of the FWHT.
+Every Walsh-Hadamard product, in the FWHT and in hard decoding, runs
+through one kernel, _walsh_blocks. Hard decoding takes 0/1 words only,
+packed to bits, and reads each 16-bit chunk's transform from a cached int8
+table, as exact as the float product.
 """
 
 import functools
@@ -99,97 +100,32 @@ def _factor(k, dtype):
     return h
 
 
-def _walsh_into(src, scratch, dst):
-    """dst = src @ H_n row by row, for C-contiguous (rows, n) arrays of one
-    dtype with n = 2^m; dst may be src.
-
-    Each row is viewed as an (a, b) array X with a = 2^floor(m/2),
-    b = 2^ceil(m/2), and since H_n = H_a (x) H_b its transform is
-    H_a @ X @ H_b: one 2-D product with H_b over every row into ``scratch``,
-    then one batched product with H_a back into ``dst``. That costs a + b
-    rather than n multiply-adds per output entry, and allocates nothing.
-    """
-    m = src.shape[-1].bit_length() - 1
-    a, b = 1 << m // 2, 1 << m - m // 2
-    # a 2-D operand makes this one BLAS call, not one per batch row
-    np.matmul(src.reshape(-1, b), _factor(m - m // 2, src.dtype), out=scratch.reshape(-1, b))
-    np.matmul(_factor(m // 2, src.dtype), scratch.reshape(-1, a, b), out=dst.reshape(-1, a, b))
-    return dst
-
-
-@functools.cache
-def _walsh_table(width):
-    """T[v] = bits(v) @ H_width for every width-bit word v (mode 0 its most
-    significant bit), as a read-only int8 (2^width, width) array, built once
-    per power-of-two width <= 16 by the Kronecker step
-    T_2s[(a << s) | b] = [T_s[a] + T_s[b], T_s[a] - T_s[b]]. Entries are
-    integers in [-width, width].
-    """
-    if width == 1:
-        table = np.array([[0], [1]], dtype=np.int8)
-    else:
-        half = _walsh_table(width // 2)
-        a, b = half[:, None], half[None, :]
-        table = np.concatenate([a + b, a - b], axis=-1).reshape(-1, width)
-    table.setflags(write=False)
-    return table
-
-
-def _pack_rows(bits):
-    """np.packbits(bits, axis=1) for a C-contiguous (rows, 8j) 0/1 array, by
-    one call over the flat array: along axis 1 numpy packs row by row, up to
-    40x slower on 16-bit rows."""
-    return np.packbits(bits.reshape(-1)).reshape(len(bits), bits.shape[1] // 8)
-
-
-def _argmin_decode(words, modes, rm1=False):
-    """ML codeword indices of received 0/1 words of ``modes`` = 2^m bits,
-    zero-padded at the front and then at the back to whole bytes, packed
-    into the rows of the uint8 array ``words`` (``_pack_rows``). See
-    ml_decode_hard.
-
-    The transform of each 16-bit chunk is read from _walsh_table(16), and
-    only words of more than one chunk go on to a float32 product with
-    H_{modes/16}, the other factor of H_modes = H_{modes/16} (x) H_16. A
-    word of at most 8 bits is the head of its byte, and the byte's
-    _walsh_table(8) row begins with the word's transform.
-    """
-    if modes <= 8:
-        dist = np.take(_walsh_table(8)[:, :modes], words[:, 0], axis=0)
-    else:
-        # np.take: fancy indexing is several times slower here
-        dist = np.take(_walsh_table(16), words.view(">u2"), axis=0)
-        if modes > 16:
-            dist = _combine_chunks(dist.astype(np.float32))
-        dist = dist.reshape(len(words), modes)
-    # distances minus 2^{m-1}: exact integers, same argmin
-    dist[:, 0] -= modes // 2
-    if rm1:
-        dist = np.concatenate([dist, -dist], axis=1)
-    return np.argmin(dist, axis=1)
-
-
-def _combine_chunks(y):
-    """H_c @ Y for each (c, 16) block Y of the float32 array ``y``: one
-    batched product, or for c > 16 one with each factor of H_c = H_a (x) H_b,
-    a + b rather than c multiply-adds per entry."""
-    rows, c, width = y.shape
+def _walsh_blocks(y):
+    """H_c @ Y for each (c, w) block Y of the C-contiguous (rows, c, w) array
+    ``y``, with c = 2^k: one batched product for c <= 32, the FWHT's H_a at
+    every length up to 2^10 = 32 x 32; above that one with each factor of
+    H_c = H_a (x) H_b, a + b rather than c multiply-adds per entry."""
+    rows, c, w = y.shape
     k = c.bit_length() - 1
-    if c <= 16:
+    if c <= 32:
         return np.matmul(_factor(k, y.dtype), y)
-    y = np.matmul(_factor(k // 2, y.dtype), y.reshape(rows, 1 << k // 2, -1))
-    return np.matmul(_factor(k - k // 2, y.dtype), y.reshape(-1, 1 << k - k // 2, width))
+    a, b = 1 << k // 2, 1 << k - k // 2
+    y = np.matmul(_factor(k // 2, y.dtype), y.reshape(rows, a, b * w))
+    y = np.matmul(_factor(k - k // 2, y.dtype), y.reshape(rows * a, b, w))
+    return y.reshape(rows, c, w)
 
 
 def fwht(v, normalized=False):
     """Walsh-Hadamard transform over the last axis of an (..., n) array.
 
     The plain variant equals multiplication by the Sylvester matrix; the
-    normalized one scales by 1/sqrt(n) and is an involution. The transform
-    is the two-factor product H_a @ X @ H_b of ``_walsh_into``. It is exact
-    on integer-valued input whose sums fit the dtype's mantissa, which is
-    what hard decoding relies on. Floating and complex inputs keep their
-    dtype; others become float64. Input length must be a power of two.
+    normalized one scales by 1/sqrt(n) and is an involution. Each length-n
+    row, n = 2^m, is viewed as an (a, b) array X with a = 2^floor(m/2) and
+    b = 2^ceil(m/2); since H_n = H_a (x) H_b, its transform is
+    H_a @ X @ H_b: one 2-D product with H_b over every row, then
+    _walsh_blocks with H_a. It is exact on integer-valued input whose sums
+    fit the dtype's mantissa. Floating and complex inputs keep their dtype;
+    others become float64. Input length must be a power of two.
     """
     v = np.asarray(v)
     if v.dtype.kind not in "fc":
@@ -197,11 +133,59 @@ def fwht(v, normalized=False):
     n = v.shape[-1] if v.ndim else 0
     if n == 0 or n & (n - 1):
         raise ValueError(f"FWHT needs a power-of-two length, got {n}")
-    src = np.ascontiguousarray(v.reshape(-1, n))
-    out = _walsh_into(src, np.empty_like(src), np.empty_like(src)).reshape(v.shape)
+    m = n.bit_length() - 1
+    a, b = 1 << m // 2, 1 << m - m // 2
+    # a 2-D operand makes this one BLAS call, not one per batch row
+    y = np.matmul(np.ascontiguousarray(v.reshape(-1, b)), _factor(m - m // 2, v.dtype))
+    out = _walsh_blocks(y.reshape(-1, a, b)).reshape(v.shape)
     if normalized:
         out /= np.sqrt(n)
     return out
+
+
+@functools.cache
+def _walsh_table():
+    """T[v] = bits(v) @ H_16 for every 16-bit word v (mode 0 its most
+    significant bit), as a read-only int8 (2^16, 16) array of 1 MB, built
+    once. Entries are integers in [-16, 16]."""
+    words = np.arange(1 << 16, dtype=">u2").view(np.uint8)
+    bits = np.unpackbits(words).view(np.int8).reshape(-1, 16)
+    table = bits @ _factor(4, np.int8)
+    table.setflags(write=False)
+    return table
+
+
+def _pack_rows(bits):
+    """The rows of a C-contiguous (rows, 2^m) 0/1 array as the packed words
+    _argmin_decode reads: zero-padded at the back to at least 16 bits, then
+    np.packbits(bits, axis=1) by one call over the flat array (along axis 1
+    numpy packs row by row, up to 40x slower on 16-bit rows)."""
+    if bits.shape[1] < 16:
+        bits = np.pad(bits, ((0, 0), (0, 16 - bits.shape[1])))
+    return np.packbits(bits.reshape(-1)).reshape(len(bits), bits.shape[1] // 8)
+
+
+def _argmin_decode(words, modes, rm1=False):
+    """ML codeword indices of received 0/1 words of ``modes`` = 2^m bits,
+    zero-padded at the front where a pilot was deleted and packed by
+    _pack_rows into the rows of the uint8 array ``words``. See ml_decode_hard.
+
+    The transform of each 16-bit chunk is read from _walsh_table(), and
+    words of more than one chunk go on to _walsh_blocks in float32 with
+    H_{modes/16}, the other factor of H_modes = H_{modes/16} (x) H_16. A
+    shorter word is the head of its chunk, and the head of the chunk's row
+    is the word's transform.
+    """
+    # np.take: fancy indexing is several times slower here
+    dist = np.take(_walsh_table(), words.view(">u2"), axis=0)
+    if modes > 16:
+        dist = _walsh_blocks(dist.astype(np.float32))
+    dist = dist.reshape(len(words), 8 * words.shape[1])[:, :modes]
+    # distances minus 2^{m-1}: exact integers, same argmin
+    dist[:, 0] -= modes // 2
+    if rm1:
+        dist = np.concatenate([dist, -dist], axis=1)
+    return np.argmin(dist, axis=1)
 
 
 def ml_decode_hard(code, received):
@@ -212,11 +196,12 @@ def ml_decode_hard(code, received):
     decoded to an index array. Its entries must be 0 or 1 (bool, integer or
     float), else ValueError. Each word is decoded by its Walsh-Hadamard
     transform y, zero-padded at the front to 2^m modes where the pilot
-    coordinate was deleted: bit-packed, with the first stage read from a
-    table (_argmin_decode). Every row but the all-zero row 0 has weight
-    2^{m-1}, so the distance to row j, less 2^{m-1}, is y_j for j > 0 and
-    y_0 - 2^{m-1} for j = 0; an RM(1,m) complement row (distance n - d_j)
-    has the negated value. Ties break to the smallest index.
+    coordinate was deleted: bit-packed, with the transform of each 16-bit
+    chunk read from a table (_argmin_decode). Every row but the all-zero
+    row 0 has weight 2^{m-1}, so the distance to row j, less 2^{m-1}, is
+    y_j for j > 0 and y_0 - 2^{m-1} for j = 0; an RM(1,m) complement row
+    (distance n - d_j) has the negated value. Ties break to the smallest
+    index.
     """
     if code.family not in ("hadamard", "rm1"):
         raise ValueError(f"no ML decoder for the {code.family} code; "
@@ -229,7 +214,7 @@ def ml_decode_hard(code, received):
         raise ValueError("received words must hold only 0 and 1")
     modes = code.size if code.family == "hadamard" else code.n
     rows = math.prod(received.shape[:-1])
-    padded = np.zeros((rows, max(modes, 8)), dtype=bool)
-    padded[:, modes - code.n:modes] = bits.reshape(rows, code.n)
+    padded = np.zeros((rows, modes), dtype=bool)
+    padded[:, modes - code.n:] = bits.reshape(rows, code.n)
     decoded = _argmin_decode(_pack_rows(padded), modes, rm1=code.family == "rm1")
     return int(decoded[0]) if received.ndim == 1 else decoded.reshape(received.shape[:-1])

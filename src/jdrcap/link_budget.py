@@ -34,10 +34,10 @@ class LinkParams:
     def __post_init__(self):
         for name in ("wavelength", "range", "tx_aperture_area", "rx_aperture_area",
                      "slot_rate"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        if self.n_r < 0:
-            raise ValueError("photon budget n_r must be >= 0")
+            if not getattr(self, name) > 0:          # NaN fails too
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not self.n_r >= 0:
+            raise ValueError(f"photon budget n_r must be >= 0, got {self.n_r}")
 
     @classmethod
     def from_radii(cls, wavelength, range, tx_radius, rx_radius, slot_rate, **kw):
@@ -104,8 +104,9 @@ def required_modes(pie_target, se_target):
     M = ceil(N_R / nbar*). Raises OverflowError, naming M, when N_R / nbar*
     overflows a double.
     """
-    if pie_target <= 0 or se_target <= 0:
-        raise ValueError("targets must be > 0")
+    for name, value in (("pie_target", pie_target), ("se_target", se_target)):
+        if not value > 0:                           # NaN fails too
+            raise ValueError(f"{name} must be > 0, got {value}")
     n_r = se_target / pie_target
     nbar_star = nbar_for_pie(pie_target)
     modes = n_r / nbar_star
@@ -121,7 +122,7 @@ def power_and_rate(params, pie):
     power = N_R (hc/lambda) slot_rate, rate = PIE N_R slot_rate. Raises
     OverflowError when either overflows a double.
     """
-    if pie < 0:
+    if not pie >= 0:                                # NaN fails too
         raise ValueError(f"PIE must be >= 0, got {pie}")
     photon_energy = PLANCK * LIGHT_SPEED / params.wavelength
     power = params.n_r * photon_energy * params.slot_rate

@@ -292,12 +292,10 @@ class TestPackedDecoder:
     """The table-and-product decoder on packed words against a dense +-1
     correlation with every codeword, m = 1..10."""
 
-    @pytest.mark.parametrize("width", [1, 2, 4, 8, 16])
-    def test_chunk_table_is_the_transform_of_its_index(self, width):
-        table = codes._walsh_table(width)
+    def test_chunk_table_is_the_transform_of_its_index(self):
+        table = codes._walsh_table()
         assert table.dtype == np.int8 and not table.flags.writeable
-        want = big_endian_bits(width) @ codes.sylvester_hadamard(width.bit_length() - 1)
-        assert np.array_equal(table, want)
+        assert np.array_equal(table, big_endian_bits(16) @ codes.sylvester_hadamard(4))
 
     @pytest.mark.parametrize("m", range(1, 11))
     @pytest.mark.parametrize("make", [
@@ -308,11 +306,12 @@ class TestPackedDecoder:
     def test_matches_dense_correlation(self, make, m):
         code = make(m)
         rng = np.random.default_rng(1000 + m)
-        # random words at every flip rate, and words that tie two codewords
+        # random words at every flip rate, words that tie two codewords, and
+        # an empty batch
         sent = code.codewords[rng.integers(code.size, size=64)]
         random = sent ^ (rng.random(sent.shape) < rng.random((64, 1)) / 2)
         ties = tie_words(code, rng, 64)
-        for words in (random, ties):
+        for words in (random, ties, random[:0]):
             assert np.array_equal(codes.ml_decode_hard(code, words),
                                   correlation_ml(code.codewords, words))
         if code.d % 2 == 0:

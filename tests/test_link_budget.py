@@ -38,6 +38,15 @@ class TestFresnelNumber:
             lb.LinkParams(wavelength=-1.0, range=1.0, tx_aperture_area=1.0,
                           rx_aperture_area=1.0, slot_rate=1.0)
 
+    @pytest.mark.parametrize("field", ["wavelength", "range", "tx_aperture_area",
+                                       "rx_aperture_area", "slot_rate", "n_r"])
+    def test_rejects_nan_naming_the_field(self, field):
+        kw = dict(wavelength=1e-6, range=1.0, tx_aperture_area=1.0, rx_aperture_area=1.0,
+                  slot_rate=1.0, n_r=0.5)
+        kw[field] = math.nan
+        with pytest.raises(ValueError, match=field):
+            lb.LinkParams(**kw)
+
     @pytest.mark.parametrize("radii", [(-0.07, -0.07), (0.07, -0.07), (0.0, 0.07),
                                        (0.07, math.nan)])
     def test_from_radii_rejects_nonpositive(self, radii):
@@ -86,6 +95,12 @@ class TestRequiredModes:
         _, _, m_hi = lb.required_modes(10.0, 5.0)
         assert m_hi > m_lo
 
+    @pytest.mark.parametrize("targets, name", [((math.nan, 5.0), "pie_target"),
+                                               ((10.0, math.nan), "se_target")])
+    def test_rejects_nan_naming_the_target(self, targets, name):
+        with pytest.raises(ValueError, match=name):
+            lb.required_modes(*targets)
+
     def test_tradeoff_consistency(self):
         pie_t, se_t = 10.0, 5.0
         n_r, _, modes = lb.required_modes(pie_t, se_t)
@@ -115,3 +130,7 @@ class TestPowerAndRate:
         p1, r1 = lb.power_and_rate(paper_link(n_r=0.25), 10.0)
         p2, r2 = lb.power_and_rate(paper_link(n_r=0.5), 10.0)
         assert p2 == pytest.approx(2 * p1) and r2 == pytest.approx(2 * r1)
+
+    def test_rejects_nan_pie(self):
+        with pytest.raises(ValueError, match="PIE"):
+            lb.power_and_rate(paper_link(n_r=0.5), math.nan)

@@ -32,7 +32,7 @@ class TestBeamSplitter:
 
 
 class TestGreenMachine:
-    @pytest.mark.parametrize("m", range(1, 9))
+    @pytest.mark.parametrize("m", range(1, 11))
     def test_ppm_unraveling(self, m):
         # every BPSK Hadamard codeword exits in exactly one mode, sign +
         nbar = 1e-3
@@ -162,7 +162,7 @@ class TestHadamardJdrChannel:
         ch = opt.hadamard_jdr_channel(3, 0.0)
         assert np.allclose(ch.p[:, -1], 1.0)
 
-    @pytest.mark.parametrize("m", range(1, 9))
+    @pytest.mark.parametrize("m", range(1, 11))
     def test_no_cross_position_leakage(self, m):
         ch = opt.hadamard_jdr_channel(m, 0.05)
         K = 2 ** m
