@@ -14,23 +14,20 @@ square-root measurement (SRM) with weights w, whose channel is
 (Eldar & Forney, IEEE Trans. Inf. Theory 47, 2001). The SRM is that kernel
 at w = priors; the minimum-probability-of-error (MPE) measurement is the
 weighted SRM at the weights that solve its optimality conditions (Mochon,
-Phys. Rev. A 73, 032328, 2006), found as the fixed point of a map on the
-weights, accelerated by Anderson mixing and stopped on the map's residual,
-so the measurement itself has converged, not just its success. The kernel
-and the iteration both work on stacks of B ensembles, one eigendecomposition
-call per step for the whole stack, and the stacked solve can start from
-given weights, such as those of a nearby ensemble; ``mpe_solve`` is the
-stacked solve at B = 1 from the SRM. The binary Helstrom bound is the
-closed-form reference.
+Phys. Rev. A 73, 032328, 2006), found by ``mpe_solve`` as the fixed point of
+a map on the weights, accelerated by Anderson mixing and stopped on the
+map's residual, so the measurement itself has converged, not just its
+success. The (2,3,1) code's MPE measurement has a one-angle form, which the
+two-symbol curve evaluates for a whole (nbar, prior) grid at once. The
+binary Helstrom bound is the closed-form reference.
 """
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .capacity_limits import _photons
-from .dmc import ConvergenceError, DiscreteChannel, check_rows
+from .dmc import ConvergenceError, DiscreteChannel
 
 EIG_CLAMP_REL = 1e-10
 PRIOR_SUM_TOL = 1e-12
@@ -162,10 +159,9 @@ def sqrtm_psd(M):
 def _srm_rows(gram, w):
     """Channel rows (What^{1/2})_ij^2 / w_i of the SRM weighted by w >= 0.
 
-    ``gram`` is (..., K, K) and ``w`` is (..., K); each member of a stack
-    is independent of the others. Row i sums to What_ii / w_i = 1 up to
-    round-off. Zero-weight rows are uniform by convention (they carry no
-    weight in any mutual information).
+    ``gram`` is (K, K), or a stack (..., K, K), and ``w`` (..., K). Row i
+    sums to What_ii / w_i = 1 up to round-off. Zero-weight rows are uniform
+    by convention (they carry no weight in any mutual information).
     """
     d = np.sqrt(w)
     weighted = d[..., :, None] * gram
@@ -214,111 +210,6 @@ def helstrom_binary(overlap_sq, p1, p2):
     return 0.5 * (1.0 - np.sqrt(1.0 - 4.0 * p1 * p2 * overlap_sq))
 
 
-class MpeStack(NamedTuple):
-    """Final iterates of a stack of B minimum-error solves.
-
-    ``rows`` (B, K, K) are stochastic rows, checked against the
-    DiscreteChannel bounds, and ``weights`` (B, K) the normalised SRM
-    weights they came from; the trace of member i is the entries of
-    ``trace_value`` whose ``trace_member`` is i, in order.
-    """
-
-    success: np.ndarray
-    rows: np.ndarray
-    weights: np.ndarray
-    iterations: np.ndarray
-    trace_member: np.ndarray
-    trace_value: np.ndarray
-
-    def result(self, i):
-        """Member i as an MpeResult."""
-        return MpeResult(success_probability=float(self.success[i]),
-                         channel=DiscreteChannel(self.rows[i]),
-                         iterations=int(self.iterations[i]),
-                         success_trace=tuple(self.trace_value[self.trace_member == i].tolist()))
-
-
-def _mpe_stack(gram, p, tol=1e-12, max_iter=10000, w0=None):
-    """Minimum-error solves of B ensembles at once: ``gram`` (B, K, K), ``p`` (B, K).
-
-    Runs the iteration of ``mpe_solve`` on every member in lockstep, one
-    weighted-SRM call per step for the members still iterating, from the
-    weights ``w0`` (B, K) if given, else from the SRM (w = p). A member
-    stops once its residual meets ``tol`` as ``mpe_solve`` states; it then
-    leaves the stack, so the others' later steps do not touch it, and its
-    result, with the weights it stopped at, is what it would be if solved
-    alone. Raises ConvergenceError, with the MpeStack of every member's best
-    iterate as ``best``, if any member has not stopped after ``max_iter``
-    steps.
-    """
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    w = p if w0 is None else w0
-    w = w / w.sum(axis=-1, keepdims=True)
-    best, best_w = np.full(len(p), -np.inf), w.copy()
-    success_out, rows_out, w_out = np.empty(len(p)), np.empty(gram.shape), np.empty_like(w)
-    iterations = np.zeros(len(p), dtype=int)
-    members, values = [], []
-    live = np.arange(len(p))                   # the members still iterating
-    G, P, P2, it = gram, p, p * p, 0
-    rows = _srm_rows(G, w)
-    while True:
-        t = np.diagonal(rows, axis1=-2, axis2=-1)
-        f = P2 * t
-        f /= f.sum(axis=-1, keepdims=True)
-        r = f - w
-        success = (P * t).sum(axis=-1)
-        better = success >= best[live]
-        improved, gained = live[better], success[better]
-        best[improved], best_w[improved] = gained, w[better]
-        members.append(improved)
-        values.append(gained)
-        # each weight settles to tol, scaled down by its amplitude sqrt(w_i / max w) below
-        # the largest weight, since a relative change of w_i is what moves the
-        # measurement; beyond that, by the round-off in F that the row sums show
-        noise = np.divide(np.abs(rows.sum(axis=-1) - 1.0), t, out=np.zeros_like(t), where=t > 0)
-        noise += (f * noise).sum(axis=-1, keepdims=True)
-        allow = tol * np.sqrt(w / w.max(axis=-1, keepdims=True)) + ROUNDOFF_MARGIN * f * noise
-        done = (np.abs(r) <= allow).all(axis=-1)
-        if done.any():
-            # the iterate at which the residual stop fires, not the best-success one
-            stop = live[done]
-            success_out[stop], rows_out[stop], w_out[stop] = success[done], rows[done], w[done]
-            iterations[stop] = it
-            keep = ~done
-            live, G, P, P2, w, f, r = (live[keep], G[keep], P[keep], P2[keep], w[keep], f[keep],
-                                       r[keep])
-            if it:
-                w_prev, r_prev = w_prev[keep], r_prev[keep]
-        if not live.size or it == max_iter:
-            break
-        step = f
-        if it:
-            # one Anderson (secant) step from the last two (w, F(w) - w) pairs; a zero
-            # secant leaves gamma = 0, the plain step
-            dr = r - r_prev
-            den = (dr * dr).sum(axis=-1)
-            gamma = np.divide((dr * r).sum(axis=-1), den, out=np.zeros_like(den), where=den > 0)
-            mixed = f - gamma[:, None] * (w - w_prev + dr)
-            step = np.where((mixed >= 0).all(axis=-1, keepdims=True), mixed, f)
-        w_prev, r_prev, w = w, r, step
-        it += 1
-        rows = _srm_rows(G, w)
-    iterations[live] = it
-    if live.size:
-        success_out[live], w_out[live] = best[live], best_w[live]
-        rows_out[live] = _srm_rows(gram[live], best_w[live])
-    stack = MpeStack(success=success_out, rows=check_rows(_stochastic_rows(rows_out)),
-                     weights=w_out, iterations=iterations,
-                     trace_member=np.concatenate(members), trace_value=np.concatenate(values))
-    if live.size:
-        raise ConvergenceError(
-            f"MPE iteration of {live.size} of {len(p)} ensembles did not reach tol "
-            f"in {max_iter} steps", best=stack
-        )
-    return stack
-
-
 def mpe_solve(ensemble, tol=1e-12, max_iter=10000):
     """Minimum-probability-of-error measurement as an iterated weighted SRM.
 
@@ -348,11 +239,90 @@ def mpe_solve(ensemble, tol=1e-12, max_iter=10000):
     widened by ROUNDOFF_MARGIN times that estimate. The success trace lists
     each iterate's success that is at least every earlier one. Equal priors
     on a geometrically uniform ensemble stop at once: the SRM is the fixed
-    point. This is the stacked kernel at B = 1.
+    point. Raises ConvergenceError, with the MpeResult of the best-success
+    iterate as ``best``, if no iterate stops within ``max_iter`` steps.
     """
-    try:
-        return _mpe_stack(ensemble.gram[None], ensemble.priors[None], tol, max_iter).result(0)
-    except ConvergenceError as exc:
-        raise ConvergenceError(
-            f"MPE iteration did not reach tol={tol} in {max_iter} steps", best=exc.best.result(0)
-        ) from None
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    gram, p = ensemble.gram, ensemble.priors
+    p2 = p * p
+    w = p / p.sum()
+    best, best_w, trace = -np.inf, w, []
+    for it in range(max_iter + 1):
+        rows = _srm_rows(gram, w)
+        t = np.diagonal(rows)
+        f = p2 * t
+        f /= f.sum()
+        r = f - w
+        success = (p * t).sum()
+        if success >= best:
+            best, best_w = success, w
+            trace.append(float(success))
+        # each weight settles to tol, scaled down by its amplitude sqrt(w_i / max w) below
+        # the largest weight, since a relative change of w_i is what moves the
+        # measurement; beyond that, by the round-off in F that the row sums show
+        noise = np.divide(np.abs(rows.sum(axis=-1) - 1.0), t, out=np.zeros_like(t), where=t > 0)
+        noise += (f * noise).sum()
+        allow = tol * np.sqrt(w / w.max()) + ROUNDOFF_MARGIN * f * noise
+        if (np.abs(r) <= allow).all():
+            # the iterate at which the residual stop fires, not the best-success one
+            return MpeResult(float(success), DiscreteChannel(_stochastic_rows(rows)), it,
+                             tuple(trace))
+        step = f
+        if it:
+            # one Anderson (secant) step from the last two (w, F(w) - w) pairs; a zero
+            # secant leaves gamma = 0, the plain step
+            dr = r - r_prev
+            den = (dr * dr).sum()
+            gamma = (dr * r).sum() / den if den > 0 else 0.0
+            mixed = f - gamma * (w - w_prev + dr)
+            if (mixed >= 0).all():
+                step = mixed
+        w_prev, r_prev, w = w, r, step
+    channel = DiscreteChannel(_stochastic_rows(_srm_rows(gram, best_w)))
+    raise ConvergenceError(f"MPE iteration did not reach tol={tol} in {max_iter} steps",
+                           best=MpeResult(float(best), channel, max_iter, tuple(trace)))
+
+
+def _two_symbol_mpe_rows(nbar, p):
+    """Channel rows (..., 3, 3) of the (2,3,1) code's MPE measurement at priors (1-2p, p, p).
+
+    In an orthonormal frame of their span the states |aa>, |a,-a>, |-a,a>
+    read (1, 0, 0) and (s, c, +-c), with s = e^{-2 nbar} and c^2 = (1 - s^2)/2.
+    They are linearly independent, so the MPE measurement is an orthonormal
+    basis of that span (Kennedy, MIT RLE QPR 110, 1973), and it is mapped to
+    itself by the swap of the last two states (Eldar, Megretski & Verghese,
+    IEEE Trans. Inf. Theory 50, 2004): (cos t, sin t, 0) and
+    (-sin t, cos t, +-1)/sqrt2 for one angle t, with success
+
+        S(t) = (1-2p) cos^2 t + p (c cos t - s sin t + c)^2.
+
+    t is the best of 16 fixed angles, refined by 6 Newton steps on S'. Row i
+    holds the squared coordinates of state i in that basis, a unit vector's,
+    so it sums to 1 by construction. Broadcasts over nbar and p.
+    """
+    nbar = _photons(nbar)
+    s, c, p = np.broadcast_arrays(np.exp(-2.0 * nbar), np.sqrt(-np.expm1(-4.0 * nbar) / 2.0),
+                                  np.asarray(p, dtype=float))
+    q = 1.0 - 2.0 * p
+    angles = np.arange(16) * (np.pi / 8)
+    g = c[..., None] * np.cos(angles) - s[..., None] * np.sin(angles) + c[..., None]
+    t = angles[np.argmax(q[..., None] * np.cos(angles) ** 2 + p[..., None] * g * g, axis=-1)]
+    for _ in range(6):
+        cos, sin = np.cos(t), np.sin(t)
+        g = c * cos - s * sin + c
+        dg = -c * sin - s * cos
+        slope = -2.0 * q * sin * cos + 2.0 * p * g * dg
+        curvature = -2.0 * q * (cos * cos - sin * sin) + 2.0 * p * (dg * dg - g * (g - c))
+        # where S is flat to round-off (p = 1/3, nbar near 1e-32) the curvature can be
+        # >= 0: no step is taken there, so none divides by zero
+        t = t - np.divide(slope, curvature, out=np.zeros_like(t), where=curvature < 0)
+    cos, sin = np.cos(t), np.sin(t)
+    g = c * cos - s * sin
+    first = cos * cos
+    side = sin * sin / 2.0
+    shared = (s * cos + c * sin) ** 2
+    right, wrong = (g + c) ** 2 / 2.0, (g - c) ** 2 / 2.0
+    return np.stack([np.stack([first, side, side], axis=-1),
+                     np.stack([shared, right, wrong], axis=-1),
+                     np.stack([shared, wrong, right], axis=-1)], axis=-2)

@@ -5,8 +5,8 @@ memoryless channel; everything downstream (curves, envelopes, the
 two-symbol capacity ratios) is classical Shannon theory on that channel.
 A two-symbol ratio curve is one lockstep computation: the prior scan
 maximizes every nbar of the grid at once, and each of its steps evaluates
-the mutual information (and, for the MPE receiver, solves the measurement)
-for the whole grid in one stacked array call.
+the mutual information (and, for the MPE receiver, the measurement's
+one-angle form) for the whole grid in one stacked array call.
 """
 
 import math
@@ -15,7 +15,6 @@ import numpy as np
 
 from . import discrimination, optics_sim
 from .capacity_limits import CLOSED_FORMS, c1_bpsk_dolinar
-from .codes import two_symbol_code
 from .dmc import ConvergenceError, check_rows
 from .entropy import xlog2
 
@@ -124,40 +123,31 @@ def two_symbol_ratio_curve(nbar_grid, receiver="structured"):
 
     I2 is the best per-symbol mutual information of the (2,3,1)
     superchannel over the prior family (1-2p, p, p); for the MPE receiver
-    the measurement is re-optimized for each prior before the mutual
-    information is evaluated, each solve starting from the weights at the
-    best prior of the scan's previous evaluation (the grid's argmax, then
-    the last golden-section point). One prior scan covers the whole grid:
-    each of its steps is one array computation over every nbar. Returns the
-    arrays (i2, c1), aligned with the grid; the ratio is i2 / c1.
+    the measurement is re-optimized for each prior, in its one-angle form,
+    before the mutual information is evaluated. One prior scan covers the
+    whole grid: each of its steps is one array computation over every nbar.
+    Returns the arrays (i2, c1), aligned with the grid; the ratio is i2 / c1.
     """
     nbar_grid = np.asarray(nbar_grid, dtype=float)
     if nbar_grid.size == 0 or np.any(nbar_grid <= 0):
         raise ValueError("need a nonempty grid of positive nbar values")
-    n = len(nbar_grid)
     if receiver == "structured":
-        channels = check_rows(optics_sim._two_symbol_rows(nbar_grid))[:, None]
+        structured = check_rows(optics_sim._two_symbol_rows(nbar_grid))[:, None]
 
-        def value(p):
-            return _mutual_information(channels, _prior_family(p)) / 2.0
+        def channels(p):
+            return structured
 
     elif receiver == "mpe":
-        grams = discrimination._code_grams(two_symbol_code(), nbar_grid)[:, None]
-        w0 = None               # per nbar, the weights at the last evaluation's best prior
 
-        def value(p):
-            nonlocal w0
-            priors = _prior_family(np.broadcast_to(p, (n, p.shape[1])))
-            stack = discrimination._mpe_stack(
-                np.broadcast_to(grams, priors.shape + (3,)).reshape(-1, 3, 3),
-                priors.reshape(-1, 3),
-                w0=None if w0 is None else np.broadcast_to(w0, priors.shape).reshape(-1, 3))
-            v = _mutual_information(stack.rows.reshape(priors.shape + (3,)), priors) / 2.0
-            w0 = stack.weights.reshape(priors.shape)[np.arange(n), np.argmax(v, axis=1), None]
-            return v
+        def channels(p):
+            return check_rows(discrimination._two_symbol_mpe_rows(nbar_grid[:, None], p))
 
     else:
         raise ValueError(f"unknown receiver {receiver!r}; use 'structured' or 'mpe'")
+
+    def value(p):
+        return _mutual_information(channels(p), _prior_family(p)) / 2.0
+
     _, i2 = prior_scan_max(value, 0.0, 0.5, 33)
     return i2, c1_bpsk_dolinar(nbar_grid)
 

@@ -218,6 +218,14 @@ class TestSuperchannel:
         _, rows = parse_csv(out)
         assert rows.shape == (3, 5) and np.all(np.isfinite(rows))
 
+    def test_two_symbol_mpe_where_the_states_merge(self, capsys):
+        code, out, _ = run(capsys, ["superchannel", "--family", "two_symbol",
+                                    "--receiver", "mpe", "--nbar-min", "1e-12",
+                                    "--nbar-max", "1e-3", "--points", "3"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows.shape == (3, 5) and np.all(np.isfinite(rows))
+
     @pytest.mark.parametrize("family", ["hadamard_jdr", "rm_gm", "rm_mpe"])
     def test_m_out_of_range_usage_error(self, capsys, family):
         with pytest.raises(SystemExit) as excinfo:

@@ -327,81 +327,81 @@ def mixed_batch():
     return np.array(grams), np.array(priors)
 
 
-class TestMpeStack:
-    def test_batch_matches_members_alone_bitwise(self):
+class TestMpeSolveOnTheTwoSymbolScan:
+    def test_every_solve_passes_the_audit(self):
         grams, priors = mixed_batch()
-        stack = disc._mpe_stack(grams, priors)
-        assert len(set(stack.iterations.tolist())) > 5     # members stop at different steps
-        for i in range(len(priors)):
-            alone = disc._mpe_stack(grams[i:i + 1], priors[i:i + 1])
-            assert np.array_equal(stack.success[i:i + 1], alone.success)
-            assert np.array_equal(stack.rows[i:i + 1], alone.rows)
-            assert stack.iterations[i] == alone.iterations[0]
-            assert stack.result(i).success_trace == alone.result(0).success_trace
-            solved = disc.mpe_solve(disc.PureStateEnsemble(gram=grams[i], priors=priors[i]))
-            assert solved.success_probability == stack.result(i).success_probability
-            assert np.array_equal(solved.channel.p, stack.result(i).channel.p)
-
-    def test_every_member_passes_the_solve_audit(self):
-        grams, priors = mixed_batch()
-        stack = disc._mpe_stack(grams, priors)
-        for i in range(len(priors)):
-            res = stack.result(i)
+        for gram, p in zip(grams, priors):
+            res = disc.mpe_solve(disc.PureStateEnsemble(gram=gram, priors=p))
             success = res.success_probability
-            channel_success = float(np.sum(priors[i] * np.diag(res.channel.p)))
+            channel_success = float(np.sum(p * np.diag(res.channel.p)))
             trace = res.success_trace
-            assert success >= srm_success(grams[i], priors[i]) - 1e-12
+            assert success >= srm_success(gram, p) - 1e-12
             assert success <= 1 + 1e-12
             assert abs(channel_success - success) <= 1e-9
             assert all(b >= a for a, b in zip(trace, trace[1:]))
 
-    def test_two_state_batch_matches_helstrom(self):
-        overlaps = [0.0, 0.25, 0.5, 0.9, 1.0]
-        p1s = np.arange(0.1, 0.95, 0.1)
-        grams = np.array([[[1.0, np.sqrt(s)], [np.sqrt(s), 1.0]]
-                          for s in overlaps for _ in p1s])
-        priors = np.array([[p1, 1.0 - p1] for _ in overlaps for p1 in p1s])
-        assert len(priors) == 45
-        stack = disc._mpe_stack(grams, priors)
-        expected = [disc.helstrom_binary(s, p1, 1.0 - p1) for s in overlaps for p1 in p1s]
-        assert np.max(np.abs((1.0 - stack.success) - expected)) <= 1e-10
-
-    def test_max_iter_exhaustion_reports_every_member(self):
+    @pytest.mark.parametrize("overlap,p1", [(0.9, 0.4), (0.7, 0.3), (0.5, 0.2)])
+    def test_max_iter_exhaustion_reports_the_best_iterate(self, overlap, p1):
         from jdrcap.dmc import ConvergenceError
-        grams = np.array([[[1.0, s], [s, 1.0]] for s in (0.9, 0.7, 0.5)])
-        priors = np.array([[0.4, 0.6], [0.3, 0.7], [0.2, 0.8]])
+        ens = binary_ensemble(overlap, p1)
         with pytest.raises(ConvergenceError) as excinfo:
-            disc._mpe_stack(grams, priors, tol=1e-30, max_iter=3)
+            disc.mpe_solve(ens, tol=1e-30, max_iter=3)
         best = excinfo.value.best
-        assert best.success.shape == (3,) and best.rows.shape == (3, 2, 2)
-        for i in range(3):
-            with pytest.raises(ConvergenceError) as alone:
-                disc._mpe_stack(grams[i:i + 1], priors[i:i + 1], tol=1e-30, max_iter=3)
-            assert np.array_equal(best.rows[i], alone.value.best.rows[0])
-            assert best.success[i] == alone.value.best.success[0]
-            assert best.iterations[i] == 3
-            assert srm_success(grams[i], priors[i]) - 1e-12 <= best.success[i] <= 1.0
+        assert best.iterations == 3
+        assert srm_success(ens.gram, ens.priors) - 1e-12 <= best.success_probability <= 1.0
 
-    def test_warm_start_ends_at_the_same_measurement(self):
-        # each stop is within the residual tolerance of the fixed point; near merging
-        # states the SRM turns a 1e-12 weight residual into up to ~1e-11 in the rows
-        rng = np.random.default_rng(11)
+
+def stationary_success(nbar, p):
+    """The largest S(t) over S's stationary points: t = pi and the real roots
+    of S'(t) (1 + u^2)^2 / 4, a cubic in u = tan(t/2)."""
+    s, c2 = np.exp(-2.0 * nbar), -np.expm1(-4.0 * nbar) / 2.0
+    c, q = np.sqrt(c2), 1.0 - 2.0 * p
+    cubic = [q - p * s * s, 3.0 * p * c * s, -q - p * (2.0 * c2 - s * s), -p * c * s]
+    roots = np.roots(cubic) if np.any(cubic) else np.array([])
+    t = np.append(2.0 * np.arctan(roots[np.abs(roots.imag) <= 1e-7].real), np.pi)
+    return np.max(q * np.cos(t) ** 2 + p * (c * np.cos(t) - s * np.sin(t) + c) ** 2)
+
+
+class TestTwoSymbolMpeRows:
+    def test_matches_mpe_solve_on_the_scan(self):
+        # mpe_solve shares nothing with the one-angle form; at p = 0 and 1/2 the
+        # zero-prior rows differ by convention (the SRM makes them uniform)
         grams, priors = mixed_batch()
-        grams, priors = grams[33:], priors[33:]       # nbar 1e-3, 0.1 and 2
-        cold = disc._mpe_stack(grams, priors)
-        w0 = priors * np.exp(rng.uniform(-1.0, 1.0, size=priors.shape))
-        warm = disc._mpe_stack(grams, priors, w0=w0)
-        assert not np.array_equal(warm.iterations, cold.iterations)
-        assert np.max(np.abs(warm.rows - cold.rows)) <= 1e-10
+        nbars = np.repeat([1e-6, 1e-3, 0.1, 2.0], 33)
+        for gram, p, nbar in zip(grams, priors, nbars):
+            if not 0.0 < p[1] < 0.5:
+                continue
+            res = disc.mpe_solve(disc.PureStateEnsemble(gram=gram, priors=p))
+            rows = disc._two_symbol_mpe_rows(nbar, p[1])
+            assert abs(np.sum(p * np.diag(rows)) - res.success_probability) <= 1e-10
+            assert np.max(np.abs(rows - res.channel.p)) <= 1e-9
 
-    def test_start_at_the_stop_weights_stops_at_once(self):
-        grams, priors = mixed_batch()
-        cold = disc._mpe_stack(grams, priors)
-        again = disc._mpe_stack(grams, priors, w0=cold.weights)
-        assert np.all(again.iterations == 0)
-        # the start is normalised again, which can move a weight by an ulp
-        assert np.max(np.abs(again.rows - cold.rows)) <= 1e-13
+    @pytest.mark.parametrize("nbar", [1e-6, 1e-5, 1e-3, 0.1, 2.0])
+    @pytest.mark.parametrize("p", [0.05, 0.2, 0.33, 0.45])
+    def test_mutual_information_matches_the_basis_oracle(self, nbar, p):
+        priors = np.array([1 - 2 * p, p, p])
+        channel = disc.DiscreteChannel(disc._two_symbol_mpe_rows(nbar, p))
+        expected = float(two_symbol_mpe_mp(nbar, p))
+        rel = abs(mutual_information(channel, priors) / expected - 1.0)
+        assert rel <= (1e-9 if nbar < 1e-5 else 1e-10)
 
+    def test_rows_sum_to_one(self):
+        nbar = np.geomspace(1e-300, 1e3, 301)[:, None]
+        rows = disc._two_symbol_mpe_rows(nbar, np.linspace(0.0, 0.5, 65))
+        assert rows.shape == (301, 65, 3, 3) and np.all(rows >= 0)
+        assert np.max(np.abs(rows.sum(axis=-1) - 1.0)) <= 4 * np.finfo(float).eps
+
+    def test_success_is_the_largest_stationary_value(self):
+        nbars = np.geomspace(1e-9, 1e2, 23)
+        ps = np.linspace(0.0, 0.5, 41)
+        rows = disc._two_symbol_mpe_rows(nbars[:, None], ps)
+        for i, nbar in enumerate(nbars):
+            for j, p in enumerate(ps):
+                success = (1 - 2 * p) * rows[i, j, 0, 0] + 2 * p * rows[i, j, 1, 1]
+                assert abs(success - stationary_success(nbar, p)) <= 2e-15
+
+
+class TestSqrtmPsd:
     def test_sqrtm_stack_matches_each_matrix(self):
         rng = np.random.default_rng(3)
         A = rng.normal(size=(5, 4, 4))
