@@ -85,36 +85,27 @@ def _log_grid(lo, hi, points, name):
     return np.geomspace(lo, hi, points)
 
 
-def _finite_float(text):
-    """argparse type of every float option: NaN and +-inf are usage errors."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"need a finite number, got {text!r}")
-    return value
+def _bounded(kind, ok, need):
+    """An argparse type: the text read by ``kind``, refused as a usage error
+    'need <need>, got <text>' if ``kind`` cannot read it or ``ok`` rejects it."""
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            pass
+        else:
+            if ok(value):
+                return value
+        raise argparse.ArgumentTypeError(f"need {need}, got {text!r}")
+    return parse
 
 
-def _code_order(text):
-    """argparse type of --m and --m-max: the code orders 1..10 of every family."""
-    value = int(text)
-    if not 1 <= value <= 10:
-        raise argparse.ArgumentTypeError(f"need a code order in 1..10, got {text!r}")
-    return value
-
-
-def _grid_points(text):
-    """argparse type of --points: 2..10,000, which bounds the memory a grid takes."""
-    value = int(text)
-    if not 2 <= value <= 10_000:
-        raise argparse.ArgumentTypeError(f"need 2..10000 grid points, got {text!r}")
-    return value
-
-
-def _seed(text):
-    """argparse type of --seed: numpy seed sequences take only integers >= 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"need a seed >= 0, got {text!r}")
-    return value
+# every float option; --m and --m-max take the code orders of every family; --points
+# bounds the memory a grid takes; numpy seed sequences take only integers >= 0
+_finite_float = _bounded(float, math.isfinite, "a finite number")
+_code_order = _bounded(int, lambda m: 1 <= m <= 10, "a code order in 1..10")
+_grid_points = _bounded(int, lambda n: 2 <= n <= 10_000, "2..10000 grid points")
+_seed = _bounded(int, lambda n: n >= 0, "a seed >= 0")
 
 
 def _number_list(spec, flag, kind):

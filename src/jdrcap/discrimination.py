@@ -114,13 +114,13 @@ class MpeResult:
     success_trace: tuple
 
 
-def _code_grams(code, nbar):
-    """Coherent-state Gram matrices (..., K, K) of a BPSK codebook at each nbar.
+def gram_from_code(code, nbar):
+    """The ensemble of a BPSK codebook at one nbar, with uniform priors.
 
     Two codewords at Hamming distance h have overlap e^{-2 nbar h}, the
     product of the per-symbol overlaps <alpha|-alpha> = e^{-2 nbar}.
     """
-    nbar = _photons(nbar)
+    nbar = _photons(nbar).item()
     cw = code.codewords.astype(float)
     # d_ij = |c_i| + |c_j| - 2 <c_i, c_j> from one product, in O(K^2) memory; every
     # term is an integer at most 2n, so float64 holds each exactly
@@ -129,66 +129,57 @@ def _code_grams(code, nbar):
     dist *= -2.0
     dist += weight[:, None]
     dist += weight
-    return np.exp(-2.0 * nbar[..., None, None] * dist)
-
-
-def gram_from_code(code, nbar):
-    """The ensemble of a BPSK codebook at one nbar, uniform priors; see _code_grams."""
     priors = np.full(code.size, 1.0 / code.size)
-    return PureStateEnsemble(gram=_code_grams(code, nbar), priors=priors)
+    return PureStateEnsemble(gram=np.exp(-2.0 * nbar * dist), priors=priors)
 
 
 def sqrtm_psd(M):
-    """Square root of a symmetric PSD matrix, or of each in a stack (..., K, K).
+    """Square root of a symmetric PSD matrix.
 
-    One eigendecomposition call covers the whole stack. Only the lower
-    triangle of each matrix is read, so it must already be symmetric.
+    Only the lower triangle is read, so M must already be symmetric.
     Eigenvalues in [-tol, 0) are clamped to zero, where tol is 1e-10
-    relative to that matrix's largest eigenvalue; anything lower raises
-    NotPSDError.
+    relative to the largest eigenvalue; anything lower raises NotPSDError.
     """
     lam, U = np.linalg.eigh(M)
-    tol = EIG_CLAMP_REL * np.maximum(1.0, lam[..., -1])
-    if np.any(lam[..., 0] < -tol):
-        worst = np.argmax(-tol - lam[..., 0])
-        raise NotPSDError(f"eigenvalue {lam[..., 0].flat[worst]} below -{tol.flat[worst]}")
+    tol = EIG_CLAMP_REL * max(1.0, lam[-1])
+    if lam[0] < -tol:
+        raise NotPSDError(f"eigenvalue {lam[0]} below -{tol}")
     lam = np.clip(lam, 0.0, None)
-    return (U * np.sqrt(lam)[..., None, :]) @ np.swapaxes(U, -1, -2)
+    return (U * np.sqrt(lam)) @ U.T
 
 
 def _srm_rows(gram, w):
     """Channel rows (What^{1/2})_ij^2 / w_i of the SRM weighted by w >= 0.
 
-    ``gram`` is (K, K), or a stack (..., K, K), and ``w`` (..., K). Row i
-    sums to What_ii / w_i = 1 up to round-off. Zero-weight rows are uniform
-    by convention (they carry no weight in any mutual information).
+    Row i sums to What_ii / w_i = 1 up to round-off. Zero-weight rows are
+    uniform by convention (they carry no weight in any mutual information).
     """
     d = np.sqrt(w)
-    weighted = d[..., :, None] * gram
-    weighted *= d[..., None, :]
+    weighted = d[:, None] * gram
+    weighted *= d
     # sqrtm_psd returns a fresh array, so the rows are formed in it
     rows = sqrtm_psd(weighted)
     rows *= rows
     live = w > 0
-    rows /= np.where(live, w, 1.0)[..., None]
-    rows[~live] = 1.0 / w.shape[-1]
+    rows /= np.where(live, w, 1.0)[:, None]
+    rows[~live] = 1.0 / len(w)
     return rows
 
 
-def _stochastic_rows(rows, tol=1e-8):
+def _stochastic_rows(rows):
     """Remove eigendecomposition round-off; reject genuine stochasticity defects.
 
     Row i of the weighted SRM carries an absolute error of about eps times
     the largest eigenvalue of D G D, divided by w_i; heavily skewed weights
     (p_i^2 t_i in the MPE iteration) therefore show up as ~1e-10 row-sum
     round-off. Real completeness bugs are orders of magnitude larger than
-    this tolerance. Works on one (K, K) matrix or a stack of them.
+    the 1e-8 allowed here.
     """
     rows = np.clip(rows, 0.0, None)
-    sums = rows.sum(axis=-1, keepdims=True)
+    sums = rows.sum(axis=1, keepdims=True)
     worst = float(np.max(np.abs(sums - 1.0)))
-    if worst > tol:
-        raise ArithmeticError(f"measurement rows sum to 1 +- {worst}, beyond {tol}")
+    if worst > 1e-8:
+        raise ArithmeticError(f"measurement rows sum to 1 +- {worst}, beyond 1e-8")
     return rows / sums
 
 
@@ -205,7 +196,7 @@ def helstrom_binary(overlap_sq, p1, p2):
     """Minimum error probability for two pure states: (1 - sqrt(1 - 4 p1 p2 s^2))/2."""
     if not 0.0 <= overlap_sq <= 1.0:
         raise ValueError(f"overlap^2 must be in [0,1], got {overlap_sq}")
-    if not (p1 >= 0 and p2 >= 0 and abs(p1 + p2 - 1.0) <= 1e-12):     # NaN fails too
+    if not (p1 >= 0 and p2 >= 0 and abs(p1 + p2 - 1.0) <= PRIOR_SUM_TOL):     # NaN fails too
         raise ValueError(f"priors must be nonnegative and sum to 1, got {p1}, {p2}")
     return 0.5 * (1.0 - np.sqrt(1.0 - 4.0 * p1 * p2 * overlap_sq))
 
@@ -244,6 +235,8 @@ def mpe_solve(ensemble, tol=1e-12, max_iter=10000):
     """
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     gram, p = ensemble.gram, ensemble.priors
     p2 = p * p
     w = p / p.sum()

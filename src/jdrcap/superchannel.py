@@ -9,12 +9,11 @@ the mutual information (and, for the MPE receiver, the measurement's
 one-angle form) for the whole grid in one stacked array call.
 """
 
-import math
-
 import numpy as np
 
 from . import discrimination, optics_sim
 from .capacity_limits import CLOSED_FORMS, c1_bpsk_dolinar
+from .discrimination import PRIOR_SUM_TOL
 from .dmc import ConvergenceError, check_rows
 from .entropy import xlog2
 
@@ -23,7 +22,7 @@ def mutual_information(channel, priors):
     r = np.asarray(priors, dtype=float)
     if r.shape != (channel.num_inputs,):
         raise ValueError(f"priors length {r.shape} != {channel.num_inputs} inputs")
-    if not (np.all(r >= 0) and abs(r.sum() - 1.0) <= 1e-9):     # NaN fails too
+    if not (np.all(r >= 0) and abs(r.sum() - 1.0) <= PRIOR_SUM_TOL):     # NaN fails too
         raise ValueError("priors must be nonnegative and sum to 1")
     return float(_mutual_information(channel.p, r))
 
@@ -51,8 +50,10 @@ def capacity_blahut_arimoto(channel, tol=1e-12, max_iter=100000):
     ``tol`` of capacity. Raises ConvergenceError (with the bracketing
     bounds attached) if max_iter is exhausted first.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     P = channel.p
     K = channel.num_inputs
     r = np.full(K, 1.0 / K)
@@ -74,32 +75,31 @@ def capacity_blahut_arimoto(channel, tol=1e-12, max_iter=100000):
     )
 
 
-def prior_scan_max(fn, lo=0.0, hi=0.5, resolution=33):
-    """Maximize N functions at once by grid scan plus golden-section refinement.
+def prior_scan_max(fn):
+    """Maximize N functions of the prior p in [0, 1/2] at once: a 33-point
+    grid scan plus golden-section refinement.
 
-    ``fn`` maps an array x of shape (N, M), or (1, M) for the grid that all
-    rows share, to the (N, M) values of row n's function at x[n]; every row
+    ``fn`` maps an array p of shape (N, M), or (1, M) for the grid that all
+    rows share, to the (N, M) values of row n's function at p[n]; every row
     takes the same steps. The golden-section steps go on until the bracket
-    is narrower than sqrt(eps) (hi - lo): below that width the value of a
-    smooth maximum moves by less than an ulp. Deterministic; flat stretches
-    resolve to the smallest argument. Returns arrays (x_star, value) of
+    is narrower than sqrt(eps) / 2: below that width the value of a smooth
+    maximum moves by less than an ulp. Deterministic; flat stretches
+    resolve to the smallest argument. Returns arrays (p_star, value) of
     shape (N,).
     """
-    if resolution < 3:
-        raise ValueError(f"need resolution >= 3, got {resolution}")
-    xs = np.linspace(lo, hi, resolution)
+    xs = np.linspace(0.0, 0.5, 33)
     vals = fn(xs[None, :])
     rows = np.arange(len(vals))
     i = np.argmax(vals, axis=1)
     a = xs[np.maximum(i - 1, 0)]
-    b = xs[np.minimum(i + 1, resolution - 1)]
+    b = xs[np.minimum(i + 1, len(xs) - 1)]
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = fn(np.stack([c, d], axis=1)).T
-    # the bracket starts two grid spacings wide and shrinks by inv_phi a step
-    width = math.sqrt(np.finfo(float).eps) * (resolution - 1) / 2.0
-    for _ in range(max(0, math.ceil(math.log(width) / math.log(inv_phi)))):
+    # the bracket starts two grid spacings (1/32) wide and shrinks by inv_phi a step:
+    # after 32 steps it is 6.4e-9 wide, below sqrt(eps) / 2 = 7.5e-9
+    for _ in range(32):
         left = fc >= fd             # keep [a, d]: d <- c and a new c; else [c, b]
         a, b = np.where(left, a, c), np.where(left, d, b)
         x = np.where(left, b - inv_phi * (b - a), a + inv_phi * (b - a))
@@ -148,7 +148,7 @@ def two_symbol_ratio_curve(nbar_grid, receiver="structured"):
     def value(p):
         return _mutual_information(channels(p), _prior_family(p)) / 2.0
 
-    _, i2 = prior_scan_max(value, 0.0, 0.5, 33)
+    _, i2 = prior_scan_max(value)
     return i2, c1_bpsk_dolinar(nbar_grid)
 
 

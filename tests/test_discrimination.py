@@ -57,16 +57,6 @@ class TestGramFromCode:
         G2 = np.exp(-2 * 0.1 * dist)
         assert np.allclose(G2, ens.gram[np.ix_(perm, perm)], atol=1e-15)
 
-    @pytest.mark.parametrize("make", [two_symbol_code, lambda: hadamard_code(3),
-                                      lambda: rm1_code(2)])
-    def test_grid_grams_match_per_point_bit_for_bit(self, make):
-        code = make()
-        grid = np.concatenate([[0.0], np.geomspace(1e-6, 10.0, 39)])
-        grams = disc._code_grams(code, grid)
-        assert grams.shape == (len(grid), code.size, code.size)
-        for k, nbar in enumerate(grid):
-            assert np.array_equal(grams[k], disc.gram_from_code(code, nbar).gram)
-
 
 def rowwise_distances(codewords):
     """Pairwise Hamming distances, one codeword against all at a time."""
@@ -80,17 +70,17 @@ class TestCodeGramDistances:
                              + [rm1_code(m) for m in range(1, 9)],
                              ids=lambda c: f"{c.family}-{c.n}-{c.size}")
     def test_matches_rowwise_hamming_bit_for_bit(self, code):
-        nbar = np.array([0.0, 1e-3, 0.37])
         dist = rowwise_distances(code.codewords)
-        expected = np.exp(-2.0 * nbar[:, None, None] * dist)
-        assert np.array_equal(disc._code_grams(code, nbar), expected)
+        for nbar in (0.0, 1e-3, 0.37):
+            expected = np.exp(-2.0 * nbar * dist)
+            assert np.array_equal(disc.gram_from_code(code, nbar).gram, expected)
 
     def test_rm8_gram_allocates_no_k_k_n_array(self):
         # K = 512, n = 256: a (K, K, n) boolean temporary alone is 64 MB
         code = rm1_code(8)
         tracemalloc.start()
         try:
-            disc._code_grams(code, 0.1)
+            disc.gram_from_code(code, 0.1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -275,9 +265,9 @@ class TestMpeSolve:
         sums = []
         normalise = disc._stochastic_rows
 
-        def record(rows, tol=1e-8):
+        def record(rows):
             sums.append(rows.sum(axis=-1))
-            return normalise(rows, tol)
+            return normalise(rows)
 
         monkeypatch.setattr(disc, "_stochastic_rows", record)
         gram = disc.gram_from_code(two_symbol_code(), nbar).gram
@@ -306,6 +296,10 @@ class TestMpeSolve:
             disc.mpe_solve(ens, tol=1e-30, max_iter=3)
         best = excinfo.value.best
         assert best is not None and 0.5 < best.success_probability <= 1.0
+
+    def test_rejects_negative_max_iter(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            disc.mpe_solve(binary_ensemble(0.9, 0.4), max_iter=-1)
 
 
 def srm_success(gram, priors):
@@ -399,21 +393,6 @@ class TestTwoSymbolMpeRows:
             for j, p in enumerate(ps):
                 success = (1 - 2 * p) * rows[i, j, 0, 0] + 2 * p * rows[i, j, 1, 1]
                 assert abs(success - stationary_success(nbar, p)) <= 2e-15
-
-
-class TestSqrtmPsd:
-    def test_sqrtm_stack_matches_each_matrix(self):
-        rng = np.random.default_rng(3)
-        A = rng.normal(size=(5, 4, 4))
-        M = A @ np.swapaxes(A, -1, -2)
-        S = disc.sqrtm_psd(M)
-        for k in range(5):
-            assert np.array_equal(S[k], disc.sqrtm_psd(M[k]))
-
-    def test_sqrtm_stack_rejects_one_indefinite_member(self):
-        M = np.stack([np.eye(2), np.diag([1.0, -0.5]), np.eye(2)])
-        with pytest.raises(disc.NotPSDError):
-            disc.sqrtm_psd(M)
 
 
 class TestEnsembleValidation:

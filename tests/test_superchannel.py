@@ -56,6 +56,11 @@ class TestMutualInformation:
         with pytest.raises(ValueError, match="priors"):
             sc.mutual_information(bsc(0.1), [np.nan, 1.0])
 
+    def test_priors_sum_to_one_as_closely_as_an_ensembles(self):
+        # 5e-10 off: the ensembles and helstrom_binary refuse these priors too
+        with pytest.raises(ValueError, match="priors"):
+            sc.mutual_information(bsc(0.1), [0.5, 0.5 + 5e-10])
+
 
 class TestBlahutArimoto:
     def test_bsc(self):
@@ -89,6 +94,12 @@ class TestBlahutArimoto:
             cap, _ = sc.capacity_blahut_arimoto(ch, tol=1e-12)
             assert cap >= sc.mutual_information(ch, uniform) - 1e-12
 
+    @pytest.mark.parametrize("bad", [{"tol": np.nan}, {"max_iter": 0}, {"max_iter": -1}],
+                             ids=["tol-nan", "max_iter-0", "max_iter-negative"])
+    def test_rejects_bad_arguments(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            sc.capacity_blahut_arimoto(bsc(0.11), **bad)
+
     def test_max_iter_reports_bracket(self):
         # asymmetric Z-channel: uniform priors are not optimal, so the
         # bracket cannot close within two iterations
@@ -103,12 +114,12 @@ class TestBlahutArimoto:
 
 class TestPriorScanMax:
     def test_concave_quadratic(self):
-        (x,), (v,) = sc.prior_scan_max(lambda p: -(p - 0.31234) ** 2, 0.0, 0.5)
+        (x,), (v,) = sc.prior_scan_max(lambda p: -(p - 0.31234) ** 2)
         assert x == pytest.approx(0.31234, abs=1e-6)
         assert v == pytest.approx(0.0, abs=1e-10)
 
     def test_flat_function_smallest_argument(self):
-        (x,), (v,) = sc.prior_scan_max(lambda p: np.ones_like(p), 0.0, 0.5)
+        (x,), (v,) = sc.prior_scan_max(lambda p: np.ones_like(p))
         assert x == 0.0 and v == 1.0
 
     def test_matches_dense_grid_on_two_symbol_channel(self):
@@ -120,21 +131,16 @@ class TestPriorScanMax:
         brute = max(fn(p) for p in dense)
         assert v == pytest.approx(brute, abs=1e-6)
 
-    @pytest.mark.parametrize("resolution, golden_steps", [(33, 32), (3, 38)])
-    def test_golden_steps_stop_below_sqrt_eps_of_the_range(self, resolution, golden_steps):
+    def test_golden_steps_stop_below_sqrt_eps_of_the_range(self):
         calls = []
 
         def fn(p):
             calls.append(p.shape)
             return -(p - 0.31234) ** 2
 
-        (x,), _ = sc.prior_scan_max(fn, 0.0, 0.5, resolution)
-        assert calls == [(1, resolution), (1, 2)] + [(1, 1)] * golden_steps
+        (x,), _ = sc.prior_scan_max(fn)
+        assert calls == [(1, 33), (1, 2)] + [(1, 1)] * 32
         assert x == pytest.approx(0.31234, abs=np.sqrt(np.finfo(float).eps) * 0.5)
-
-    def test_rejects_tiny_resolution(self):
-        with pytest.raises(ValueError):
-            sc.prior_scan_max(lambda p: p, resolution=2)
 
     def test_rows_match_one_row_scans_bitwise(self):
         centres = np.array([0.0, 0.013, 0.31234, 0.25, 0.4999, 0.5, 0.17])
@@ -142,17 +148,16 @@ class TestPriorScanMax:
         def family(c):
             return lambda p: np.sin(3.0 * p) * np.exp(-((p - c[:, None]) / 0.1) ** 2)
 
-        xs, vs = sc.prior_scan_max(family(centres), 0.0, 0.5)
+        xs, vs = sc.prior_scan_max(family(centres))
         assert xs.shape == vs.shape == centres.shape
         for k in range(len(centres)):
-            x, v = sc.prior_scan_max(family(centres[k:k + 1]), 0.0, 0.5)
+            x, v = sc.prior_scan_max(family(centres[k:k + 1]))
             assert np.array_equal(x, xs[k:k + 1]) and np.array_equal(v, vs[k:k + 1])
 
     def test_flat_row_resolves_to_lo_alone(self):
         flat = np.array([False, True, False])
-        xs, vs = sc.prior_scan_max(
-            lambda p: np.where(flat[:, None], 2.0, -(p - 0.3) ** 2), 0.1, 0.5)
-        assert xs[1] == 0.1 and vs[1] == 2.0
+        xs, vs = sc.prior_scan_max(lambda p: np.where(flat[:, None], 2.0, -(p - 0.3) ** 2))
+        assert xs[1] == 0.0 and vs[1] == 2.0
         assert xs[0] == xs[2] == pytest.approx(0.3, abs=1e-6)
 
 
