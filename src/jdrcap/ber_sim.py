@@ -103,8 +103,8 @@ def hadamard_dr_ber(m, nbar, trials, seed):
     1e5 raises TypeError).
     """
     trials = operator.index(trials)
-    if trials < 10 ** 4:
-        raise ValueError(f"need at least 1e4 trials for a meaningful estimate, got {trials}")
+    if trials < 10_000:
+        raise ValueError(f"need at least 10000 trials for a meaningful estimate, got {trials}")
     k, cut = flip_cut(dolinar_error_q(nbar))
     cut = np.uint64(cut)
     # with the pilot, which is bit 0 of the decode's words

@@ -272,10 +272,6 @@ def tradeoff_curve(modes, n_r_grid):
     return se, np.where(big, 0.0, se / np.where(big, 1.0, n_r))
 
 
-def __getattr__(name):
-    # perfbench/tracer.py still reads capacity_limits.quad to count kernels.quad.calls;
-    # importing scipy only on that lookup keeps it off every normal start
-    if name == "quad":
-        from scipy.integrate import quad
-        return quad
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# perfbench/tracer.py still counts kernels.quad.calls through this name; no f(b) route
+# calls a quadrature routine
+quad = None

@@ -7,8 +7,8 @@ bytes. Reruns with an identical manifest produce byte-identical output.
 Exit codes: 0 success, 2 usage error (an option argparse rejects, any
 ValueError, or an ``--out`` that cannot be written, checked before any
 work is done, printed as one ``error: <message>`` line), 3 numerical failure
-(a solver that did not converge, or an ArithmeticError such as a failed
-consistency or row-sum check).
+(any ArithmeticError: a solver that did not converge, a failed consistency
+or row-sum check; printed as one ``numerical failure: <message>`` line).
 """
 
 import argparse
@@ -25,7 +25,6 @@ import numpy as np
 
 from . import __version__, capacity_limits, superchannel
 from .ber_sim import hadamard_dr_ber, hadamard_jdr_ber, uncoded_bpsk_ber
-from .dmc import ConvergenceError
 from .link_budget import LinkParams, mode_count, power_and_rate, required_modes
 
 # parsed options left out of a manifest's parameters; the seed is a top-level key
@@ -101,11 +100,13 @@ def _bounded(kind, ok, need):
 
 
 # every float option; --m and --m-max take the code orders of every family; --points
-# bounds the memory a grid takes; numpy seed sequences take only integers >= 0
+# bounds the memory a grid takes; numpy seed sequences take only integers >= 0;
+# hadamard_dr_ber refuses a thin --trials itself, in one error line
 _finite_float = _bounded(float, math.isfinite, "a finite number")
 _code_order = _bounded(int, lambda m: 1 <= m <= 10, "a code order in 1..10")
 _grid_points = _bounded(int, lambda n: 2 <= n <= 10_000, "2..10000 grid points")
 _seed = _bounded(int, lambda n: n >= 0, "a seed >= 0")
+_trials = _bounded(int, lambda n: True, "at least 10000 trials")
 
 
 def _number_list(spec, flag, kind):
@@ -124,7 +125,7 @@ LIMIT_COLUMNS = {
     "hadamard_envelope":
         lambda grid, ms: capacity_limits.pie_envelope(grid, "hadamard_jdr", ms)[1],
     "rm_gm_envelope": lambda grid, ms: capacity_limits.pie_envelope(grid, "rm_gm", ms)[1],
-    "two_symbol": lambda grid, ms: superchannel.capacity_curves("two_symbol", None, grid) / grid,
+    "two_symbol": lambda grid, ms: superchannel.two_symbol_ratio_curve(grid)[0] / grid,
 }
 
 
@@ -152,10 +153,16 @@ def cmd_tradeoff(args):
 
 def cmd_superchannel(args):
     grid = _log_grid(args.nbar_min, args.nbar_max, args.points, "nbar")
+    # an option the family ignores is refused, not recorded in the manifest: the
+    # two-symbol code has no order, and only it has a choice of receiver
     if args.family == "two_symbol":
+        if args.m is not None:
+            raise ValueError("--family two_symbol takes no --m")
         i2, c1 = superchannel.two_symbol_ratio_curve(grid, args.receiver)
         return _csv(["nbar", "bits_per_symbol", "pie", "c1", "ratio"],
                     [grid, i2, i2 / grid, c1, i2 / c1])
+    if args.receiver != "structured":
+        raise ValueError(f"--receiver {args.receiver} needs --family two_symbol")
     bits = superchannel.capacity_curves(args.family, args.m, grid)
     return _csv(["nbar", "bits_per_symbol", "pie"], [grid, bits, bits / grid])
 
@@ -262,7 +269,7 @@ def build_parser():
     p = add_subcommand("ber", cmd_ber, "bit error rates of the Hadamard code receivers")
     p.add_argument("--m", type=_code_order, default=8, help="code order, 1..10")
     add_nbar_grid(p, 1e-3, 1e-1, 10)
-    p.add_argument("--trials", type=int, default=100000)
+    p.add_argument("--trials", type=_trials, default=100000)
     p.add_argument("--seed", type=_seed, default=None)
 
     p = add_subcommand("link", cmd_link, "free-space link example report")
@@ -285,9 +292,6 @@ def main(argv=None):
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         raise SystemExit(2)
-    except ConvergenceError as exc:
-        sys.stderr.write(f"convergence failure: {exc}\n")
-        return 3
     except ArithmeticError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3

@@ -74,8 +74,6 @@ def rm1_code(m):
     bit-flipped: the first 2^m codewords are the Hadamard rows and the rest
     their complements.
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
     had = hadamard_code(m, with_ancilla=True).codewords
     bits = np.vstack([had, 1 - had])
     d = 1 if m == 1 else 2 ** (m - 1)

@@ -32,6 +32,8 @@ from .dmc import ConvergenceError, DiscreteChannel
 EIG_CLAMP_REL = 1e-10
 PRIOR_SUM_TOL = 1e-12
 ROUNDOFF_MARGIN = 8.0       # MPE stop: allowance over the row-sum round-off estimate
+MPE_TOL = 1e-12             # MPE stop: residual allowance on the largest weight
+MPE_MAX_ITER = 10000
 
 
 class NotPSDError(ValueError):
@@ -201,7 +203,7 @@ def helstrom_binary(overlap_sq, p1, p2):
     return 0.5 * (1.0 - np.sqrt(1.0 - 4.0 * p1 * p2 * overlap_sq))
 
 
-def mpe_solve(ensemble, tol=1e-12, max_iter=10000):
+def mpe_solve(ensemble):
     """Minimum-probability-of-error measurement as an iterated weighted SRM.
 
     Every minimum-error measurement of pure states is the SRM at some
@@ -221,27 +223,24 @@ def mpe_solve(ensemble, tol=1e-12, max_iter=10000):
     weights leave the nonnegative orthant.
 
     Iteration stops at, and returns, the first iterate with
-    |F(w)_i - w_i| <= tol sqrt(w_i / max_k w_k) for every i: ``tol`` on the
-    largest weights, less on the small ones, since a relative change of w_i
-    is what moves the measurement. (Success is flat at the optimum, so a
-    stop on its gain leaves the measurement converged to about sqrt(tol).)
+    |F(w)_i - w_i| <= tol sqrt(w_i / max_k w_k) for every i, tol = MPE_TOL:
+    tol on the largest weights, less on the small ones, since a relative
+    change of w_i is what moves the measurement. (Success is flat at the
+    optimum, so a stop on its gain leaves the measurement converged to about
+    sqrt(tol).)
     Where the states nearly coincide, F carries more round-off than that;
     each SRM row's deviation from unit sum measures it, and the bound is
     widened by ROUNDOFF_MARGIN times that estimate. The success trace lists
     each iterate's success that is at least every earlier one. Equal priors
     on a geometrically uniform ensemble stop at once: the SRM is the fixed
     point. Raises ConvergenceError, with the MpeResult of the best-success
-    iterate as ``best``, if no iterate stops within ``max_iter`` steps.
+    iterate as ``best``, if no iterate stops within MPE_MAX_ITER steps.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     gram, p = ensemble.gram, ensemble.priors
     p2 = p * p
     w = p / p.sum()
     best, best_w, trace = -np.inf, w, []
-    for it in range(max_iter + 1):
+    for it in range(MPE_MAX_ITER + 1):
         rows = _srm_rows(gram, w)
         t = np.diagonal(rows)
         f = p2 * t
@@ -256,7 +255,7 @@ def mpe_solve(ensemble, tol=1e-12, max_iter=10000):
         # measurement; beyond that, by the round-off in F that the row sums show
         noise = np.divide(np.abs(rows.sum(axis=-1) - 1.0), t, out=np.zeros_like(t), where=t > 0)
         noise += (f * noise).sum()
-        allow = tol * np.sqrt(w / w.max()) + ROUNDOFF_MARGIN * f * noise
+        allow = MPE_TOL * np.sqrt(w / w.max()) + ROUNDOFF_MARGIN * f * noise
         if (np.abs(r) <= allow).all():
             # the iterate at which the residual stop fires, not the best-success one
             return MpeResult(float(success), DiscreteChannel(_stochastic_rows(rows)), it,
@@ -273,8 +272,8 @@ def mpe_solve(ensemble, tol=1e-12, max_iter=10000):
                 step = mixed
         w_prev, r_prev, w = w, r, step
     channel = DiscreteChannel(_stochastic_rows(_srm_rows(gram, best_w)))
-    raise ConvergenceError(f"MPE iteration did not reach tol={tol} in {max_iter} steps",
-                           best=MpeResult(float(best), channel, max_iter, tuple(trace)))
+    raise ConvergenceError(f"MPE iteration did not reach tol={MPE_TOL} in {MPE_MAX_ITER} steps",
+                           best=MpeResult(float(best), channel, MPE_MAX_ITER, tuple(trace)))
 
 
 def _two_symbol_mpe_rows(nbar, p):

@@ -8,7 +8,7 @@ ROW_SUM_TOL = 1e-12
 NEG_ENTRY_TOL = -1e-15
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(ArithmeticError):
     """An iterative solve ran out of iterations before reaching tolerance.
 
     Carries the best iterate found so callers can inspect it.

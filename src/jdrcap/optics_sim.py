@@ -92,8 +92,6 @@ def hadamard_jdr_channel(m, nbar):
     the whole codeword energy, so P(position k | codeword k) = 1 - e^{-2^m nbar}
     and the no-click outcome is the erasure.
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
     nbar = _photons(nbar)
     out = green_machine(hadamard_code(m, with_ancilla=True).amplitudes(np.sqrt(nbar)))
     pos_probs, erase = _first_click_rows(spd_click_prob(np.abs(out)))

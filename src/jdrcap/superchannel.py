@@ -17,6 +17,10 @@ from .discrimination import PRIOR_SUM_TOL
 from .dmc import ConvergenceError, check_rows
 from .entropy import xlog2
 
+BA_TOL = 1e-12              # Blahut-Arimoto stop: width of the capacity bracket
+BA_MAX_ITER = 100000
+
+
 def mutual_information(channel, priors):
     """I(X;Y) in bits for the given input distribution."""
     r = np.asarray(priors, dtype=float)
@@ -42,34 +46,30 @@ def _relative_entropies(P, out_dist):
     return np.sum(P * np.log2(ratio, where=nz, out=np.zeros_like(P)), axis=1)
 
 
-def capacity_blahut_arimoto(channel, tol=1e-12, max_iter=100000):
+def capacity_blahut_arimoto(channel):
     """Channel capacity by Blahut-Arimoto alternating maximization.
 
     Stops when the standard capacity bracket max_i D_i - I(r) drops below
-    ``tol``; the returned priors then achieve mutual information within
-    ``tol`` of capacity. Raises ConvergenceError (with the bracketing
-    bounds attached) if max_iter is exhausted first.
+    BA_TOL; the returned priors then achieve mutual information within
+    BA_TOL of capacity. Raises ConvergenceError (with the bracketing bounds
+    attached) if BA_MAX_ITER iterations are exhausted first.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     P = channel.p
     K = channel.num_inputs
     r = np.full(K, 1.0 / K)
     lower = upper = np.nan
-    for _ in range(max_iter):
+    for _ in range(BA_MAX_ITER):
         out_dist = r @ P
         D = _relative_entropies(P, out_dist)
         lower = float(np.dot(r, D))
         upper = float(np.max(D))
-        if upper - lower < tol:
+        if upper - lower < BA_TOL:
             return lower, r
         r = r * np.exp2(D - upper)
         r /= r.sum()
     raise ConvergenceError(
-        f"Blahut-Arimoto did not close the capacity bracket to {tol} "
-        f"in {max_iter} iterations",
+        f"Blahut-Arimoto did not close the capacity bracket to {BA_TOL} "
+        f"in {BA_MAX_ITER} iterations",
         lower=lower,
         upper=upper,
     )
@@ -153,19 +153,14 @@ def two_symbol_ratio_curve(nbar_grid, receiver="structured"):
 
 
 def capacity_curves(family, m, nbar_grid):
-    """Bits per symbol of one receiver family along an nbar grid, as an array;
-    two_symbol is the structured receiver's."""
+    """Bits per symbol of one CLOSED_FORMS family along an nbar grid, as an array."""
     nbar_grid = np.asarray(nbar_grid, dtype=float)
     if np.any(nbar_grid <= 0):
         raise ValueError("PIE curves need positive nbar")
-    if family == "two_symbol":
-        return two_symbol_ratio_curve(nbar_grid)[0]
     try:
         cap = CLOSED_FORMS[family]
     except KeyError:
-        raise ValueError(
-            f"unknown family {family!r}; choose from {sorted(CLOSED_FORMS) + ['two_symbol']}"
-        )
+        raise ValueError(f"unknown family {family!r}; choose from {sorted(CLOSED_FORMS)}")
     if m is None:
         raise ValueError(f"family {family!r} needs a code-size parameter m")
     return cap(m, nbar_grid)

@@ -154,6 +154,10 @@ class TestHadamardJdrBer:
         with pytest.raises(ValueError, match="photon number"):
             ber_sim.hadamard_jdr_ber(3, np.nan)
 
+    def test_rejects_code_order_zero(self):
+        with pytest.raises(ValueError, match="need m >= 1"):
+            ber_sim.hadamard_jdr_ber(0, 0.1)
+
     def test_analytic_form(self):
         for m, nbar in ((3, 0.01), (8, 0.02)):
             expected = 0.5 * np.exp(-(2 ** m) * nbar)

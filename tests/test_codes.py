@@ -12,6 +12,18 @@ def pairwise_distances(cw):
     return np.count_nonzero(cw[:, None, :] != cw[None, :, :], axis=2)
 
 
+@pytest.mark.parametrize("build,m", [(codes.sylvester_hadamard, -1), (codes.hadamard_code, 0),
+                                     (codes.rm1_code, 0)])
+def test_rejects_code_order_below_range(build, m):
+    with pytest.raises(ValueError, match=f"need m >= {m + 1}"):
+        build(m)
+
+
+def test_rejects_codewords_of_the_wrong_shape():
+    with pytest.raises(ValueError, match="codeword matrix shape"):
+        codes.BinaryCode(n=3, size=2, d=1, codewords=np.zeros((2, 2)))
+
+
 class TestSylvesterHadamard:
     def test_base_cases(self):
         assert codes.sylvester_hadamard(0).tolist() == [[1]]
@@ -91,6 +103,10 @@ class TestTwoSymbolCode:
 
 
 class TestFwht:
+    def test_integer_input_becomes_float64(self):
+        out = codes.fwht(np.array([3, 1, 0, 0]))
+        assert out.dtype == np.float64 and out.tolist() == [4.0, 2.0, 4.0, 2.0]
+
     def test_constant_vector_concentrates(self):
         out = codes.fwht([1.0, 1.0, 1.0, 1.0], normalized=True)
         assert np.allclose(out, [2.0, 0.0, 0.0, 0.0], atol=1e-15)

@@ -137,6 +137,19 @@ class TestPsdValidation:
                 disc.PureStateEnsemble(gram=G, priors=np.full(K, 1.0 / K))
             assert str(err.value) == expected
 
+    @pytest.mark.parametrize("entry,psd", [(0.5, True), (1.5, False)])
+    def test_beyond_the_cholesky_proof_the_eigenvalues_decide(self, entry, psd):
+        K = 700         # above the K = 670 up to which a Cholesky factor proves PSD
+        G = np.eye(K)
+        G[0, 1] = G[1, 0] = entry       # eigenvalues 1 +- entry
+        assert not disc._cholesky_psd(G)
+        priors = np.full(K, 1.0 / K)
+        if psd:
+            disc.PureStateEnsemble(gram=G, priors=priors)
+        else:
+            with pytest.raises(disc.NotPSDError, match="Gram matrix has eigenvalue -0.49"):
+                disc.PureStateEnsemble(gram=G, priors=priors)
+
     def test_code_gram_is_accepted_without_eigenvalues(self, monkeypatch):
         G = disc.gram_from_code(rm1_code(7), 0.01).gram
 
@@ -289,17 +302,15 @@ class TestMpeSolve:
         rel = abs(mutual_information(result.channel, priors) / expected - 1.0)
         assert rel <= (1e-9 if nbar < 1e-5 else 1e-10)
 
-    def test_max_iter_exhaustion_reports_best(self):
+    def test_max_iter_exhaustion_reports_best(self, monkeypatch):
         from jdrcap.dmc import ConvergenceError
+        monkeypatch.setattr(disc, "MPE_TOL", 1e-30)
+        monkeypatch.setattr(disc, "MPE_MAX_ITER", 3)
         ens = binary_ensemble(0.9, 0.4)
         with pytest.raises(ConvergenceError) as excinfo:
-            disc.mpe_solve(ens, tol=1e-30, max_iter=3)
+            disc.mpe_solve(ens)
         best = excinfo.value.best
         assert best is not None and 0.5 < best.success_probability <= 1.0
-
-    def test_rejects_negative_max_iter(self):
-        with pytest.raises(ValueError, match="max_iter"):
-            disc.mpe_solve(binary_ensemble(0.9, 0.4), max_iter=-1)
 
 
 def srm_success(gram, priors):
@@ -335,11 +346,13 @@ class TestMpeSolveOnTheTwoSymbolScan:
             assert all(b >= a for a, b in zip(trace, trace[1:]))
 
     @pytest.mark.parametrize("overlap,p1", [(0.9, 0.4), (0.7, 0.3), (0.5, 0.2)])
-    def test_max_iter_exhaustion_reports_the_best_iterate(self, overlap, p1):
+    def test_max_iter_exhaustion_reports_the_best_iterate(self, overlap, p1, monkeypatch):
         from jdrcap.dmc import ConvergenceError
+        monkeypatch.setattr(disc, "MPE_TOL", 1e-30)
+        monkeypatch.setattr(disc, "MPE_MAX_ITER", 3)
         ens = binary_ensemble(overlap, p1)
         with pytest.raises(ConvergenceError) as excinfo:
-            disc.mpe_solve(ens, tol=1e-30, max_iter=3)
+            disc.mpe_solve(ens)
         best = excinfo.value.best
         assert best.iterations == 3
         assert srm_success(ens.gram, ens.priors) - 1e-12 <= best.success_probability <= 1.0
@@ -424,6 +437,21 @@ class TestEnsembleValidation:
     def test_rejects_bad_priors(self):
         with pytest.raises(ValueError):
             disc.PureStateEnsemble(gram=np.eye(2), priors=np.array([0.7, 0.5]))
+
+    @pytest.mark.parametrize("gram,priors,message", [
+        (np.ones((2, 3)), [0.5, 0.5], "must be square"),
+        (np.eye(2), [0.25, 0.25, 0.5], "priors length"),
+    ], ids=["non-square", "priors-length"])
+    def test_rejects_mismatched_shapes(self, gram, priors, message):
+        with pytest.raises(ValueError, match=message):
+            disc.PureStateEnsemble(gram=gram, priors=np.array(priors))
+
+    def test_stochastic_rows_refuse_more_than_round_off(self):
+        rows = np.array([[0.5, 0.5 + 5e-9], [0.0, 1.0]])
+        assert disc._stochastic_rows(rows).sum(axis=1).tolist() == [1.0, 1.0]
+        rows[0, 1] += 1e-8
+        with pytest.raises(ArithmeticError, match="beyond 1e-8"):
+            disc._stochastic_rows(rows)
 
     @pytest.mark.parametrize("priors", [[np.nan, 1.0], [np.nan, np.nan]])
     def test_rejects_nan_priors(self, priors):

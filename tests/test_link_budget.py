@@ -76,6 +76,14 @@ class TestModeCount:
         out = lb.mode_count(p)
         assert out.regime_warning is not None
 
+    def test_overflow_of_twice_a_finite_fresnel_number(self):
+        # D_f = 1.5e308 is a double, 2 D_f is not
+        p = lb.LinkParams(wavelength=1.0, range=1.0, tx_aperture_area=1e154,
+                          rx_aperture_area=1.5e154, slot_rate=1.0)
+        assert math.isfinite(lb.fresnel_number(p))
+        with pytest.raises(OverflowError, match="mode count 2 D_f"):
+            lb.mode_count(p)
+
 
 class TestRequiredModes:
     def test_paper_targets(self):

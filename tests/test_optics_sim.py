@@ -158,6 +158,10 @@ class TestHadamardJdrChannel:
         with pytest.raises(ValueError, match="photon number"):
             opt.hadamard_jdr_channel(3, np.nan)
 
+    def test_rejects_code_order_zero(self):
+        with pytest.raises(ValueError, match="need m >= 1"):
+            opt.hadamard_jdr_channel(0, 0.1)
+
     def test_all_erasure_at_zero(self):
         ch = opt.hadamard_jdr_channel(3, 0.0)
         assert np.allclose(ch.p[:, -1], 1.0)
