@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity_limits import _photons, dolinar_error_q
-from .codes import _argmin_decode, _pack_rows, hadamard_code
+from .codes import _argmin_decode, _pack_rows, code_order, hadamard_code
 from .entropy import _float_or_array
 
 # Trials per message draw. It fixes the draw order, so changing it changes
@@ -119,18 +119,18 @@ def hadamard_dr_ber(m, nbar, trials, seed):
     # the block buffers are allocated once per call: with fresh arrays per
     # block, the freed blocks crossed the allocator's trim threshold, and
     # every block page-faulted its memory in again. The pilot column 0 of
-    # flips and ties stays False.
+    # flips stays False.
     flips = np.zeros((rows, K), dtype=bool)
-    ties = np.zeros_like(flips)
     for start in range(0, trials, _CHUNK):
         msg = rng.integers(0, K, size=min(_CHUNK, trials - start))
         for block in np.split(msg, range(rows, msg.size, rows)):
             size = block.size
-            symbols = _symbol_bytes(rng.bit_generator, size * n).reshape(size, n)
-            np.less(symbols, k, out=flips[:size, 1:K])
-            np.equal(symbols, k, out=ties[:size, 1:K])
-            tied = np.flatnonzero(ties[:size])      # row-major, as the contract says
-            flips[:size].reshape(-1)[tied] = tie_bits.random_raw(tied.size) < cut
+            symbols = _symbol_bytes(rng.bit_generator, size * n)
+            np.less(symbols.reshape(size, n), k, out=flips[:size, 1:K])
+            # byte t, symbol t % n of trial t // n, is flips entry t + t // n + 1 (each
+            # row leads with its pilot); ties come in trial-major order, as the contract says
+            t = np.flatnonzero(symbols == k)
+            flips[:size].reshape(-1)[t + t // n + 1] = tie_bits.random_raw(t.size) < cut
             received = _pack_rows(flips[:size])
             received ^= np.take(codewords, block, axis=0)
             decoded = _argmin_decode(received, K)
@@ -149,6 +149,4 @@ def hadamard_jdr_ber(m, nbar):
     popcount(i ^ j) is m/2, so the guess gets half the bits wrong and the
     BER is e^{-2^m nbar} / 2. A scalar nbar gives a float, an array an array.
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    return _float_or_array(0.5 * np.exp(-(2 ** m) * _photons(nbar)))
+    return _float_or_array(0.5 * np.exp(-(2 ** code_order(m)) * _photons(nbar)))

@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 
+from .codes import code_order
 from .entropy import LN2, _float_or_array, binary_entropy, xlog2
 
 
@@ -142,17 +143,14 @@ def hadamard_jdr_capacity(m, nbar):
     (m / 2^m)(1 - e^{-2^m nbar}) bits/symbol with the pilot mode counted in
     the block length; PIE approaches m bits/photon at small nbar.
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    m = code_order(m)
     n = 2 ** m
     return _float_or_array((m / n) * -np.expm1(-n * _photons(nbar)))
 
 
 def _rm_gm_pulse(m, nbar):
     """(nP, (1 - p0)/2, f(nP)) of the RM(1,m) receiver, nP = 2^m nbar; checks f <= (1-p0)/2."""
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    n_pulse = (2 ** m) * _photons(nbar)
+    n_pulse = (2 ** code_order(m)) * _photons(nbar)
     half = -np.expm1(-n_pulse) / 2.0
     f = f_integral(n_pulse)
     if np.any(half - f < -1e-12):
@@ -200,8 +198,7 @@ def rm_mpe_capacity(m, nbar):
     nbar. The discriminant gamma^2 - 4^m p0^2 factors exactly as
     (1-p0)^2 (gamma + 2^m p0), which is used to avoid cancellation.
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    m = code_order(m)
     nbar = _photons(nbar)
     n = 2 ** m
     K = 2 ** (m + 1)
@@ -234,6 +231,13 @@ CLOSED_FORMS = {
 }
 
 
+def closed_form(family):
+    """The capacity function (m, nbar) of a CLOSED_FORMS family, else ValueError."""
+    if family not in CLOSED_FORMS:
+        raise ValueError(f"unknown family {family!r}; choose from {sorted(CLOSED_FORMS)}")
+    return CLOSED_FORMS[family]
+
+
 def pie_envelope(nbar, family, m_range):
     """Best PIE over a code-size range: max_m I_m(nbar)/nbar.
 
@@ -242,11 +246,8 @@ def pie_envelope(nbar, family, m_range):
     array; ties break to the smaller m.
     """
     nbar = _photons(nbar, strict=True)
-    try:
-        cap = CLOSED_FORMS[family]
-    except KeyError:
-        raise ValueError(f"unknown family {family!r}; choose from {sorted(CLOSED_FORMS)}")
-    ms = sorted(set(int(m) for m in m_range))
+    cap = closed_form(family)
+    ms = sorted(set(map(code_order, m_range)))
     if not ms:
         raise ValueError("empty m range")
     pies = np.array([cap(m, nbar) for m in ms]) / nbar

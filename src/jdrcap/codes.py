@@ -12,6 +12,7 @@ table, as exact as the float product.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,13 @@ class BinaryCode:
         return alpha * (1.0 - 2.0 * self.codewords.astype(float))
 
 
+def code_order(m):
+    """m as an int; ValueError unless it is an integer >= 1, numpy integers included."""
+    if not isinstance(m, numbers.Integral) or m < 1:
+        raise ValueError(f"need m >= 1, an integer, got {m}")
+    return int(m)
+
+
 def sylvester_hadamard(m):
     """The 2^m x 2^m Sylvester-Hadamard matrix with +-1 entries, H H^T = 2^m I.
 
@@ -58,8 +66,7 @@ def hadamard_code(m, with_ancilla=False):
     (pilot) the constant first coordinate is kept, giving block length 2^m;
     without it that coordinate is deleted.
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    m = code_order(m)
     bits = ((1 - sylvester_hadamard(m)) // 2).astype(np.uint8)
     if not with_ancilla:
         bits = bits[:, 1:]
@@ -113,11 +120,10 @@ def _walsh_blocks(y):
     return y.reshape(rows, c, w)
 
 
-def fwht(v, normalized=False):
+def fwht(v):
     """Walsh-Hadamard transform over the last axis of an (..., n) array.
 
-    The plain variant equals multiplication by the Sylvester matrix; the
-    normalized one scales by 1/sqrt(n) and is an involution. Each length-n
+    The product with the n x n Sylvester matrix, unnormalized. Each length-n
     row, n = 2^m, is viewed as an (a, b) array X with a = 2^floor(m/2) and
     b = 2^ceil(m/2); since H_n = H_a (x) H_b, its transform is
     H_a @ X @ H_b: one 2-D product with H_b over every row, then
@@ -135,10 +141,7 @@ def fwht(v, normalized=False):
     a, b = 1 << m // 2, 1 << m - m // 2
     # a 2-D operand makes this one BLAS call, not one per batch row
     y = np.matmul(np.ascontiguousarray(v.reshape(-1, b)), _factor(m - m // 2, v.dtype))
-    out = _walsh_blocks(y.reshape(-1, a, b)).reshape(v.shape)
-    if normalized:
-        out /= np.sqrt(n)
-    return out
+    return _walsh_blocks(y.reshape(-1, a, b)).reshape(v.shape)
 
 
 @functools.cache

@@ -27,10 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .capacity_limits import _photons
-from .dmc import ConvergenceError, DiscreteChannel
+from .dmc import ConvergenceError, DiscreteChannel, check_priors
 
 EIG_CLAMP_REL = 1e-10
-PRIOR_SUM_TOL = 1e-12
 ROUNDOFF_MARGIN = 8.0       # MPE stop: allowance over the row-sum round-off estimate
 MPE_TOL = 1e-12             # MPE stop: residual allowance on the largest weight
 MPE_MAX_ITER = 10000
@@ -80,11 +79,9 @@ class PureStateEnsemble:
 
     def __post_init__(self):
         G = np.asarray(self.gram, dtype=float)
-        p = np.asarray(self.priors, dtype=float)
         if G.ndim != 2 or G.shape[0] != G.shape[1]:
             raise ValueError(f"Gram matrix must be square, got {G.shape}")
-        if p.shape != (G.shape[0],):
-            raise ValueError("priors length must match Gram size")
+        p = check_priors(self.priors, len(G))
         if not np.all(np.isfinite(G)):
             raise ValueError("Gram matrix must be finite")
         # rtol=0: 1e-12 absolute is the whole allowance
@@ -92,8 +89,6 @@ class PureStateEnsemble:
             raise ValueError("Gram matrix must be symmetric")
         if not np.allclose(np.diag(G), 1.0, rtol=0, atol=1e-12):
             raise ValueError("Gram matrix must have unit diagonal")
-        if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= PRIOR_SUM_TOL):     # NaN fails too
-            raise ValueError("priors must be nonnegative and sum to 1")
         G = 0.5 * (G + G.T)
         if not _cholesky_psd(G):
             lam = np.linalg.eigvalsh(G)
@@ -198,8 +193,7 @@ def helstrom_binary(overlap_sq, p1, p2):
     """Minimum error probability for two pure states: (1 - sqrt(1 - 4 p1 p2 s^2))/2."""
     if not 0.0 <= overlap_sq <= 1.0:
         raise ValueError(f"overlap^2 must be in [0,1], got {overlap_sq}")
-    if not (p1 >= 0 and p2 >= 0 and abs(p1 + p2 - 1.0) <= PRIOR_SUM_TOL):     # NaN fails too
-        raise ValueError(f"priors must be nonnegative and sum to 1, got {p1}, {p2}")
+    check_priors((p1, p2), 2)
     return 0.5 * (1.0 - np.sqrt(1.0 - 4.0 * p1 * p2 * overlap_sq))
 
 
@@ -291,9 +285,9 @@ def _two_symbol_mpe_rows(nbar, p):
 
     t is the best of 16 fixed angles, refined by 6 Newton steps on S'. Row i
     holds the squared coordinates of state i in that basis, a unit vector's,
-    so it sums to 1 by construction. Broadcasts over nbar and p.
+    so it sums to 1 by construction. Broadcasts over nbar and p. nbar goes
+    unchecked: the one caller, two_symbol_ratio_curve, has checked its grid.
     """
-    nbar = _photons(nbar)
     s, c, p = np.broadcast_arrays(np.exp(-2.0 * nbar), np.sqrt(-np.expm1(-4.0 * nbar) / 2.0),
                                   np.asarray(p, dtype=float))
     q = 1.0 - 2.0 * p

@@ -6,6 +6,7 @@ import numpy as np
 
 ROW_SUM_TOL = 1e-12
 NEG_ENTRY_TOL = -1e-15
+PRIOR_SUM_TOL = 1e-12
 
 
 class ConvergenceError(ArithmeticError):
@@ -36,6 +37,17 @@ def check_rows(p):
         worst = float(np.max(np.abs(rows - 1.0)))
         raise ValueError(f"rows must sum to 1 within {ROW_SUM_TOL}, worst off by {worst}")
     return np.clip(p, 0.0, None)
+
+
+def check_priors(priors, n):
+    """``priors`` as a float array; ValueError unless it holds n entries, each
+    >= 0, that sum to 1 within PRIOR_SUM_TOL (so NaN fails)."""
+    p = np.asarray(priors, dtype=float)
+    if p.shape != (n,):
+        raise ValueError(f"priors length {p.shape} != {n} inputs")
+    if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= PRIOR_SUM_TOL):
+        raise ValueError(f"priors must be nonnegative and sum to 1, got {p}")
+    return p
 
 
 @dataclass(frozen=True, eq=False)

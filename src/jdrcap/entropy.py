@@ -1,7 +1,7 @@
 """Shared stable entropy primitives.
 
-Every entropy-like quantity in the package funnels through ``xlog2`` so the
-0*log(0) = 0 convention is enforced in exactly one place.
+Most entropy sums take 0*log(0) = 0 from ``xlog2``; binary_entropy, superchannel's
+relative entropies and rm_gm_jdr_capacity's log1p(-y) handle that term themselves.
 """
 
 import numpy as np

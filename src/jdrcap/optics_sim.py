@@ -29,12 +29,14 @@ def beam_splitter(a, b):
 def green_machine(amps):
     """Pass a power-of-two mode vector through the Green Machine.
 
-    log2(n) butterfly stages of 50-50 beam splitters; equals the normalized
-    Walsh-Hadamard transform of the amplitude vector, hence an involution
-    and energy conserving. A BPSK Hadamard codeword (pilot included) maps to
-    a single pulsed mode: the PPM unraveling.
+    log2(n) butterfly stages of 50-50 beam splitters; equals the
+    Walsh-Hadamard transform of the amplitude vector divided by sqrt(n),
+    hence an involution and energy conserving. A BPSK Hadamard codeword
+    (pilot included) maps to a single pulsed mode: the PPM unraveling.
     """
-    return fwht(amps, normalized=True)
+    out = fwht(amps)
+    out /= np.sqrt(out.shape[-1])
+    return out
 
 
 def spd_click_prob(a):

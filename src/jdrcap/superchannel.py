@@ -12,9 +12,8 @@ one-angle form) for the whole grid in one stacked array call.
 import numpy as np
 
 from . import discrimination, optics_sim
-from .capacity_limits import CLOSED_FORMS, c1_bpsk_dolinar
-from .discrimination import PRIOR_SUM_TOL
-from .dmc import ConvergenceError, check_rows
+from .capacity_limits import _photons, c1_bpsk_dolinar, closed_form
+from .dmc import ConvergenceError, check_priors, check_rows
 from .entropy import xlog2
 
 BA_TOL = 1e-12              # Blahut-Arimoto stop: width of the capacity bracket
@@ -23,12 +22,7 @@ BA_MAX_ITER = 100000
 
 def mutual_information(channel, priors):
     """I(X;Y) in bits for the given input distribution."""
-    r = np.asarray(priors, dtype=float)
-    if r.shape != (channel.num_inputs,):
-        raise ValueError(f"priors length {r.shape} != {channel.num_inputs} inputs")
-    if not (np.all(r >= 0) and abs(r.sum() - 1.0) <= PRIOR_SUM_TOL):     # NaN fails too
-        raise ValueError("priors must be nonnegative and sum to 1")
-    return float(_mutual_information(channel.p, r))
+    return float(_mutual_information(channel.p, check_priors(priors, channel.num_inputs)))
 
 
 def _mutual_information(P, r):
@@ -128,8 +122,8 @@ def two_symbol_ratio_curve(nbar_grid, receiver="structured"):
     whole grid: each of its steps is one array computation over every nbar.
     Returns the arrays (i2, c1), aligned with the grid; the ratio is i2 / c1.
     """
-    nbar_grid = np.asarray(nbar_grid, dtype=float)
-    if nbar_grid.size == 0 or np.any(nbar_grid <= 0):
+    nbar_grid = _photons(nbar_grid, strict=True)
+    if nbar_grid.size == 0:
         raise ValueError("need a nonempty grid of positive nbar values")
     if receiver == "structured":
         structured = check_rows(optics_sim._two_symbol_rows(nbar_grid))[:, None]
@@ -154,13 +148,8 @@ def two_symbol_ratio_curve(nbar_grid, receiver="structured"):
 
 def capacity_curves(family, m, nbar_grid):
     """Bits per symbol of one CLOSED_FORMS family along an nbar grid, as an array."""
-    nbar_grid = np.asarray(nbar_grid, dtype=float)
-    if np.any(nbar_grid <= 0):
-        raise ValueError("PIE curves need positive nbar")
-    try:
-        cap = CLOSED_FORMS[family]
-    except KeyError:
-        raise ValueError(f"unknown family {family!r}; choose from {sorted(CLOSED_FORMS)}")
+    nbar_grid = _photons(nbar_grid, strict=True)
+    cap = closed_form(family)
     if m is None:
         raise ValueError(f"family {family!r} needs a code-size parameter m")
     return cap(m, nbar_grid)

@@ -12,6 +12,8 @@ from jdrcap.capacity_limits import (
 from jdrcap.codes import fwht, hadamard_code, rm1_code
 from jdrcap.superchannel import mutual_information
 
+from oracles import dense_walsh
+
 finite_amp = st.floats(min_value=-30, max_value=30, allow_nan=False)
 
 
@@ -59,8 +61,35 @@ class TestGreenMachine:
         rng = np.random.default_rng(3)
         v = rng.normal(size=32) + 1j * rng.normal(size=32)
         once = opt.green_machine(v)
-        assert np.allclose(once, fwht(v, normalized=True), atol=1e-12)
+        assert np.allclose(once, fwht(v) / np.sqrt(32), atol=1e-12)
         assert np.allclose(opt.green_machine(once), v, atol=1e-12)
+
+    def test_constant_vector_concentrates(self):
+        out = opt.green_machine([1.0, 1.0, 1.0, 1.0])
+        assert np.allclose(out, [2.0, 0.0, 0.0, 0.0], atol=1e-15)
+
+    def test_involution(self):
+        rng = np.random.default_rng(7)
+        v = rng.normal(size=64)
+        twice = opt.green_machine(opt.green_machine(v))
+        assert np.allclose(twice, v, atol=1e-12)
+
+    @pytest.mark.parametrize("m", range(0, 7))
+    def test_matches_scaled_dense_matrix(self, m):
+        rng = np.random.default_rng(m)
+        v = rng.normal(size=2 ** m)
+        assert np.allclose(opt.green_machine(v), dense_walsh(v) / 2 ** (m / 2), atol=1e-10)
+
+    @pytest.mark.parametrize("m", range(0, 13))
+    def test_involution_on_batches(self, m):
+        # three real and three complex rows at each length 2^m up to 4096
+        rng = np.random.default_rng(300 + m)
+        n = 2 ** m
+        real = rng.normal(size=(3, n))
+        cplx = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+        for v in (real, cplx):
+            twice = opt.green_machine(opt.green_machine(v))
+            assert np.max(np.abs(twice - v)) / max(np.max(np.abs(v)), 1.0) <= 1e-12
 
     def test_energy_conservation_large(self):
         rng = np.random.default_rng(5)

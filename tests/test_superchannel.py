@@ -226,7 +226,7 @@ class TestCapacityCurves:
 
     @pytest.mark.parametrize("nbar", [0.0, -0.1])
     def test_rejects_nonpositive_nbar(self, nbar):
-        with pytest.raises(ValueError, match="positive nbar"):
+        with pytest.raises(ValueError, match="photon number must be > 0"):
             sc.capacity_curves("rm_gm", 3, [0.1, nbar])
 
 
