@@ -40,10 +40,10 @@ class BinaryCode:
         return alpha * (1.0 - 2.0 * self.codewords.astype(float))
 
 
-def code_order(m):
-    """m as an int; ValueError unless it is an integer >= 1, numpy integers included."""
-    if not isinstance(m, numbers.Integral) or m < 1:
-        raise ValueError(f"need m >= 1, an integer, got {m}")
+def code_order(m, least=1):
+    """m as an int; ValueError unless it is an integer >= least, numpy integers included."""
+    if not isinstance(m, numbers.Integral) or m < least:
+        raise ValueError(f"need m >= {least}, an integer, got {m}")
     return int(m)
 
 
@@ -51,11 +51,9 @@ def sylvester_hadamard(m):
     """The 2^m x 2^m Sylvester-Hadamard matrix with +-1 entries, H H^T = 2^m I.
 
     Entry (i, j) is (-1)^popcount(i & j), the closed form of the recursion
-    H_{2k} = [[H_k, H_k], [H_k, -H_k]].
+    H_{2k} = [[H_k, H_k], [H_k, -H_k]]. m = 0 gives H_1 = [[1]].
     """
-    if m < 0:
-        raise ValueError(f"need m >= 0, got {m}")
-    i = np.arange(1 << m)
+    i = np.arange(1 << code_order(m, least=0))
     return 1 - 2 * (np.bitwise_count(i[:, None] & i) & 1).astype(np.int64)
 
 

@@ -23,6 +23,7 @@ binary Helstrom bound is the closed-form reference.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +73,10 @@ class PureStateEnsemble:
     have lambda_min >= -EIG_CLAMP_REL max(1, lambda_max), else NotPSDError;
     a Cholesky factorisation proves that (_cholesky_psd), and only where it
     cannot do the eigenvalues decide.
+
+    ``srm_rows``, the raw rows of the SRM at w = priors, are computed on
+    first use, once per ensemble, and shared by ``srm_channel`` and the
+    first iterate of ``mpe_solve``.
     """
 
     gram: np.ndarray = field(repr=False)
@@ -99,6 +104,13 @@ class PureStateEnsemble:
         p.setflags(write=False)
         object.__setattr__(self, "gram", G)
         object.__setattr__(self, "priors", p)
+
+    @cached_property
+    def srm_rows(self):
+        """_srm_rows(gram, priors), read-only: one eigendecomposition per ensemble."""
+        rows = _srm_rows(self.gram, self.priors)
+        rows.setflags(write=False)
+        return rows
 
 
 @dataclass(frozen=True)
@@ -184,9 +196,10 @@ def srm_channel(ensemble):
     """Transition matrix of the square-root measurement, the weighted SRM at w = p.
 
     With Ghat_ij = sqrt(p_i p_j) G_ij, P(j|i) = (Ghat^{1/2})_ij^2 / p_i;
-    zero-prior rows are uniform.
+    zero-prior rows are uniform. The rows are the ensemble's ``srm_rows``,
+    which ``mpe_solve`` starts from too.
     """
-    return DiscreteChannel(_stochastic_rows(_srm_rows(ensemble.gram, ensemble.priors)))
+    return DiscreteChannel(_stochastic_rows(ensemble.srm_rows))
 
 
 def helstrom_binary(overlap_sq, p1, p2):
@@ -210,7 +223,10 @@ def mpe_solve(ensemble):
     weighted by w; in the span of the codewords F is the update
     mu_i <- S^{-1/2} p_i sqrt(t_i) psi_i with S = sum_i p_i^2 t_i psi_i psi_i^T.
 
-    Seeded with the SRM (w = p), each step mixes F at the last two iterates
+    Seeded with the SRM (w = p, unnormalised, since the weighted SRM does
+    not change when w is scaled), whose rows are the ensemble's shared
+    ``srm_rows``, so after ``srm_channel`` the first iterate costs no
+    eigendecomposition. Each step mixes F at the last two iterates
     by one Anderson (secant) step (Walker & Ni, SIAM J. Numer. Anal. 49,
     2011): one SRM call, as for the plain step w <- F(w), but faster than
     its linear convergence. The plain step is taken whenever the mixed
@@ -232,10 +248,10 @@ def mpe_solve(ensemble):
     """
     gram, p = ensemble.gram, ensemble.priors
     p2 = p * p
-    w = p / p.sum()
+    w = p
     best, best_w, trace = -np.inf, w, []
     for it in range(MPE_MAX_ITER + 1):
-        rows = _srm_rows(gram, w)
+        rows = _srm_rows(gram, w) if it else ensemble.srm_rows
         t = np.diagonal(rows)
         f = p2 * t
         f /= f.sum()

@@ -120,11 +120,12 @@ def two_symbol_ratio_curve(nbar_grid, receiver="structured"):
     the measurement is re-optimized for each prior, in its one-angle form,
     before the mutual information is evaluated. One prior scan covers the
     whole grid: each of its steps is one array computation over every nbar.
-    Returns the arrays (i2, c1), aligned with the grid; the ratio is i2 / c1.
+    The grid must be 1-D and nonempty. Returns the arrays (i2, c1), aligned
+    with the grid; the ratio is i2 / c1.
     """
     nbar_grid = _photons(nbar_grid, strict=True)
-    if nbar_grid.size == 0:
-        raise ValueError("need a nonempty grid of positive nbar values")
+    if nbar_grid.ndim != 1 or nbar_grid.size == 0:
+        raise ValueError(f"need a nonempty 1-D grid of positive nbar values, got {nbar_grid}")
     if receiver == "structured":
         structured = check_rows(optics_sim._two_symbol_rows(nbar_grid))[:, None]
 

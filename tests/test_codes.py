@@ -25,6 +25,11 @@ def test_rejects_codewords_of_the_wrong_shape():
 
 
 class TestSylvesterHadamard:
+    @pytest.mark.parametrize("m", [2.5, 3.0, "3", None])
+    def test_rejects_a_non_integer_order(self, m):
+        with pytest.raises(ValueError, match=f"need m >= 0, an integer, got {m}"):
+            codes.sylvester_hadamard(m)
+
     def test_base_cases(self):
         assert codes.sylvester_hadamard(0).tolist() == [[1]]
         assert codes.sylvester_hadamard(1).tolist() == [[1, 1], [1, -1]]

@@ -207,6 +207,62 @@ class TestSrmChannel:
         assert np.allclose(ch.p[2], 1 / 3)
 
 
+class TestSharedSrmRows:
+    """The SRM rows at w = priors are computed once per ensemble, by its first
+    reader, and shared by srm_channel and mpe_solve's first iterate."""
+
+    @staticmethod
+    def count_eigh(monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(len(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    @staticmethod
+    def weighted_rm1(m, nbar, seed):
+        w = 0.5 + np.random.default_rng(seed).random(2 ** (m + 1))
+        return disc.PureStateEnsemble(gram=disc.gram_from_code(rm1_code(m), nbar).gram,
+                                      priors=w / w.sum())
+
+    def test_uniform_pair_makes_one_eigendecomposition(self, monkeypatch):
+        ens = disc.gram_from_code(rm1_code(3), 0.1)
+        calls = self.count_eigh(monkeypatch)
+        disc.srm_channel(ens)
+        result = disc.mpe_solve(ens)
+        assert result.iterations == 0
+        assert calls == [16]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_weighted_pair_makes_one_per_later_iterate(self, monkeypatch, seed):
+        ens = self.weighted_rm1(3, 0.1, seed)
+        calls = self.count_eigh(monkeypatch)
+        disc.srm_channel(ens)
+        result = disc.mpe_solve(ens)
+        assert result.iterations >= 1
+        assert len(calls) == result.iterations + 1
+
+    @pytest.mark.parametrize("seed", [None, 0, 1])
+    def test_channel_is_the_uncached_srm_bit_for_bit(self, seed):
+        ens = (disc.gram_from_code(rm1_code(3), 0.1) if seed is None
+               else self.weighted_rm1(3, 0.1, seed))
+        fresh = disc._stochastic_rows(disc._srm_rows(ens.gram, ens.priors))
+        assert np.array_equal(disc.srm_channel(ens).p, fresh)
+        # the second call reads the rows that the first one cached
+        assert np.array_equal(disc.srm_channel(ens).p, fresh)
+
+    def test_cached_rows_are_read_only(self):
+        ens = disc.gram_from_code(rm1_code(2), 0.1)
+        rows = ens.srm_rows
+        assert rows is ens.srm_rows
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 0.0
+
+
 class TestHelstromBinary:
     def test_identical_states(self):
         assert disc.helstrom_binary(1.0, 0.5, 0.5) == pytest.approx(0.5)

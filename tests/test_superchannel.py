@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,13 @@ class TestTwoSymbolRatioCurve:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             sc.two_symbol_ratio_curve([])
+
+    @pytest.mark.parametrize("receiver", ["structured", "mpe"])
+    @pytest.mark.parametrize("grid", [[[0.1, 0.2]], [[0.1], [0.2]], 0.1])
+    def test_rejects_a_grid_that_is_not_1d(self, grid, receiver):
+        message = f"need a nonempty 1-D grid of positive nbar values, got {np.asarray(grid)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sc.two_symbol_ratio_curve(grid, receiver)
 
     def test_rejects_unknown_receiver(self):
         with pytest.raises(ValueError, match="unknown receiver"):
