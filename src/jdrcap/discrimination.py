@@ -4,22 +4,29 @@ A codebook of coherent-state codewords is represented by its Gram matrix G
 of inner products and a prior vector; every measurement here is expressed in
 the K-dimensional span of the codewords, so no exponential state space is
 ever formed. A BPSK codebook's Gram takes its Hamming distances from one
-product of the codeword matrix, in O(K^2 + Kn) memory, and an ensemble is
-proved PSD by one Cholesky factorisation, with the eigenvalues computed
-only where that fails. One kernel does the linear algebra: the weighted
-square-root measurement (SRM) with weights w, whose channel is
+product of the codeword matrix, in O(K^2 + Kn) memory. The measurements
+rest on the weighted square-root measurement (SRM) with weights w, whose
+channel is
 
     P(j|i) = (What^{1/2})_ij^2 / w_i,   What = D G D,  D = diag(sqrt w)
 
-(Eldar & Forney, IEEE Trans. Inf. Theory 47, 2001). The SRM is that kernel
-at w = priors; the minimum-probability-of-error (MPE) measurement is the
-weighted SRM at the weights that solve its optimality conditions (Mochon,
-Phys. Rev. A 73, 032328, 2006), found by ``mpe_solve`` as the fixed point of
-a map on the weights, accelerated by Anderson mixing and stopped on the
-map's residual, so the measurement itself has converged, not just its
-success. The (2,3,1) code's MPE measurement has a one-angle form, which the
-two-symbol curve evaluates for a whole (nbar, prior) grid at once. The
-binary Helstrom bound is the closed-form reference.
+(Eldar & Forney, IEEE Trans. Inf. Theory 47, 2001). A linear code's Gram,
+such as a Hadamard or RM(1,m) code's, is XOR-invariant: G_ij = g_{i xor j},
+K = 2^k. Its eigenvalues are the Walsh transform of g, which proves it PSD,
+and at equal weights the SRM has the closed form (G^{1/2})_ij^2 with
+G^{1/2}_ij = fwht(sqrt(fwht g))_{i xor j} / K: O(K^2) work and no
+eigendecomposition. Any other Gram is proved PSD by one Cholesky
+factorisation, with the eigenvalues computed only where that fails, and
+its SRM takes one eigendecomposition of What, as does any weighted SRM.
+The SRM is the weighted SRM at w = priors; the minimum-probability-of-error
+(MPE) measurement is the weighted SRM at the weights that solve its
+optimality conditions (Mochon, Phys. Rev. A 73, 032328, 2006), found by
+``mpe_solve`` as the fixed point of a map on the weights, accelerated by
+Anderson mixing and stopped on the map's residual, so the measurement
+itself has converged, not just its success. The (2,3,1) code's MPE
+measurement has a one-angle form, which the two-symbol curve evaluates for
+a whole (nbar, prior) grid at once. The binary Helstrom bound is the
+closed-form reference.
 """
 
 from dataclasses import dataclass, field
@@ -28,6 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .capacity_limits import _photons
+from .codes import fwht
 from .dmc import ConvergenceError, DiscreteChannel, check_priors
 
 EIG_CLAMP_REL = 1e-10
@@ -63,6 +71,32 @@ def _cholesky_psd(G):
     return True
 
 
+def _xor_gram(G):
+    """G[0][i xor j] as a fresh array when it equals the square G exactly and
+    K = 2^k, else None: the Gram of a linear code's codewords (Hadamard,
+    RM(1,m)) in their natural order."""
+    K = len(G)
+    if K & (K - 1):
+        return None
+    i = np.arange(K)
+    xor = G[0][i[:, None] ^ i]
+    return xor if np.array_equal(xor, G) else None
+
+
+def _walsh_psd(spectrum, g):
+    """Whether the Walsh spectrum of the XOR-invariant Gram with first row g
+    proves it PSD to the clamp.
+
+    The transform multiplies by factors of H_K whose sizes add up to less
+    than 3 sqrt(K), so its round-off is below 3 sqrt(K) eps sum|g_j|
+    (Higham, ch. 3), about 2e-11 at K = 1024. If the smallest computed
+    eigenvalue less that bound is >= -EIG_CLAMP_REL, then lambda_min(G) >=
+    -EIG_CLAMP_REL max(1, lambda_max). Otherwise it proves nothing.
+    """
+    err = 3.0 * np.sqrt(len(g)) * np.finfo(float).eps * np.abs(g).sum()
+    return float(spectrum.min()) - err >= -EIG_CLAMP_REL
+
+
 @dataclass(frozen=True, eq=False)
 class PureStateEnsemble:
     """Gram matrix of codeword inner products plus prior probabilities.
@@ -70,9 +104,13 @@ class PureStateEnsemble:
     The Gram matrix is validated and symmetrised here, once, so the solvers
     below work on it without checking it again. Its entries must be finite,
     symmetric and 1 on the diagonal, each to within 1e-12 absolute. It must
-    have lambda_min >= -EIG_CLAMP_REL max(1, lambda_max), else NotPSDError;
-    a Cholesky factorisation proves that (_cholesky_psd), and only where it
-    cannot do the eigenvalues decide.
+    have lambda_min >= -EIG_CLAMP_REL max(1, lambda_max), else NotPSDError.
+    An XOR-invariant Gram, G_ij = g_{i xor j} exactly with K = 2^k, is
+    symmetric as given; ``spectrum`` holds its eigenvalues, fwht(g), which
+    prove it PSD where they can (_walsh_psd). Every other ensemble has
+    ``spectrum`` None. A Cholesky factorisation proves PSD where the
+    spectrum does not (_cholesky_psd), and only where neither can do the
+    eigenvalues decide.
 
     ``srm_rows``, the raw rows of the SRM at w = priors, are computed on
     first use, once per ensemble, and shared by ``srm_channel`` and the
@@ -81,6 +119,7 @@ class PureStateEnsemble:
 
     gram: np.ndarray = field(repr=False)
     priors: np.ndarray
+    spectrum: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         G = np.asarray(self.gram, dtype=float)
@@ -89,13 +128,19 @@ class PureStateEnsemble:
         p = check_priors(self.priors, len(G))
         if not np.all(np.isfinite(G)):
             raise ValueError("Gram matrix must be finite")
+        xor = _xor_gram(G)
         # rtol=0: 1e-12 absolute is the whole allowance
-        if not np.allclose(G, G.T, rtol=0, atol=1e-12):
+        if xor is None and not np.allclose(G, G.T, rtol=0, atol=1e-12):
             raise ValueError("Gram matrix must be symmetric")
         if not np.allclose(np.diag(G), 1.0, rtol=0, atol=1e-12):
             raise ValueError("Gram matrix must have unit diagonal")
-        G = 0.5 * (G + G.T)
-        if not _cholesky_psd(G):
+        if xor is None:
+            G, spectrum, proved = 0.5 * (G + G.T), None, False
+        else:
+            G, spectrum = xor, fwht(xor[0])
+            spectrum.setflags(write=False)
+            proved = _walsh_psd(spectrum, G[0])
+        if not (proved or _cholesky_psd(G)):
             lam = np.linalg.eigvalsh(G)
             if lam[0] < -EIG_CLAMP_REL * max(1.0, float(np.max(np.abs(lam)))):
                 raise NotPSDError(f"Gram matrix has eigenvalue {lam[0]}")
@@ -104,11 +149,21 @@ class PureStateEnsemble:
         p.setflags(write=False)
         object.__setattr__(self, "gram", G)
         object.__setattr__(self, "priors", p)
+        object.__setattr__(self, "spectrum", spectrum)
 
     @cached_property
     def srm_rows(self):
-        """_srm_rows(gram, priors), read-only: one eigendecomposition per ensemble."""
-        rows = _srm_rows(self.gram, self.priors)
+        """The raw SRM rows at w = priors, read-only, computed once per ensemble.
+
+        With equal priors on an XOR-invariant Gram they are (G^{1/2})_ij^2,
+        from the spectrum (_walsh_srm_rows); otherwise _srm_rows(gram, priors),
+        one eigendecomposition.
+        """
+        p = self.priors
+        if self.spectrum is not None and np.all(p == p[0]):
+            rows = _walsh_srm_rows(self.spectrum)
+        else:
+            rows = _srm_rows(self.gram, p)
         rows.setflags(write=False)
         return rows
 
@@ -173,6 +228,21 @@ def _srm_rows(gram, w):
     rows /= np.where(live, w, 1.0)[:, None]
     rows[~live] = 1.0 / len(w)
     return rows
+
+
+def _walsh_srm_rows(spectrum):
+    """Rows (G^{1/2})_ij^2 of the equal-weight SRM of the XOR-invariant Gram
+    with eigenvalues ``spectrum`` = fwht(g).
+
+    G = H diag(lambda) H / K, and H_ik H_jk = H_{i xor j, k}, so
+    G^{1/2}_ij = t_{i xor j} with t = fwht(sqrt(lambda)) / K. Eigenvalues in
+    [-tol, 0) are clamped to zero, as in sqrtm_psd. Row i sums to G_ii = 1
+    up to round-off.
+    """
+    K = len(spectrum)
+    t = fwht(np.sqrt(np.clip(spectrum, 0.0, None))) / K
+    i = np.arange(K)
+    return (t * t)[i[:, None] ^ i]
 
 
 def _stochastic_rows(rows):

@@ -107,6 +107,15 @@ def prior_scan_max(fn):
     return best_x, best_val
 
 
+def _curve_grid(nbar_grid):
+    """A curve's nbar grid as a float array; ValueError unless every entry is
+    > 0 and the grid is 1-D and nonempty."""
+    nbar_grid = _photons(nbar_grid, strict=True)
+    if nbar_grid.ndim != 1 or nbar_grid.size == 0:
+        raise ValueError(f"need a nonempty 1-D grid of positive nbar values, got {nbar_grid}")
+    return nbar_grid
+
+
 def _prior_family(p):
     """The two-symbol priors (1-2p, p, p) along a new last axis."""
     return np.stack([1.0 - 2.0 * p, p, p], axis=-1)
@@ -123,9 +132,7 @@ def two_symbol_ratio_curve(nbar_grid, receiver="structured"):
     The grid must be 1-D and nonempty. Returns the arrays (i2, c1), aligned
     with the grid; the ratio is i2 / c1.
     """
-    nbar_grid = _photons(nbar_grid, strict=True)
-    if nbar_grid.ndim != 1 or nbar_grid.size == 0:
-        raise ValueError(f"need a nonempty 1-D grid of positive nbar values, got {nbar_grid}")
+    nbar_grid = _curve_grid(nbar_grid)
     if receiver == "structured":
         structured = check_rows(optics_sim._two_symbol_rows(nbar_grid))[:, None]
 
@@ -148,8 +155,10 @@ def two_symbol_ratio_curve(nbar_grid, receiver="structured"):
 
 
 def capacity_curves(family, m, nbar_grid):
-    """Bits per symbol of one CLOSED_FORMS family along an nbar grid, as an array."""
-    nbar_grid = _photons(nbar_grid, strict=True)
+    """Bits per symbol of one CLOSED_FORMS family along an nbar grid, as an array.
+
+    The grid must be 1-D and nonempty."""
+    nbar_grid = _curve_grid(nbar_grid)
     cap = closed_form(family)
     if m is None:
         raise ValueError(f"family {family!r} needs a code-size parameter m")

@@ -7,15 +7,50 @@ from hypothesis import strategies as st
 
 from jdrcap import discrimination as disc
 from jdrcap.capacity_limits import dolinar_error_q, rm_mpe_capacity
-from jdrcap.codes import hadamard_code, rm1_code, sylvester_hadamard, two_symbol_code
+from jdrcap.codes import fwht, hadamard_code, rm1_code, two_symbol_code
 from jdrcap.superchannel import mutual_information
 
-from oracles import two_symbol_mpe_mp
+from oracles import rm_mpe_mp, two_symbol_mpe_mp
 
 
 def binary_ensemble(overlap, p1):
     G = np.array([[1.0, overlap], [overlap, 1.0]])
     return disc.PureStateEnsemble(gram=G, priors=np.array([p1, 1.0 - p1]))
+
+
+def shuffled(G):
+    """G with its states in a shuffled order: the same eigenvalues and unit
+    diagonal, but not XOR-invariant."""
+    order = np.random.default_rng(5).permutation(len(G))
+    return G[np.ix_(order, order)]
+
+
+def nudged(G):
+    """G with one symmetric pair of entries moved by an ulp: XOR-invariant
+    only up to round-off."""
+    G = G.copy()
+    G[1, 2] = G[2, 1] = np.nextafter(G[1, 2], 2.0)
+    return G
+
+
+def shuffled_rm1(m, nbar):
+    """RM(1,m) at uniform priors with its codewords in a shuffled order."""
+    gram = shuffled(disc.gram_from_code(rm1_code(m), nbar).gram)
+    ens = disc.PureStateEnsemble(gram=gram, priors=np.full(len(gram), 1 / len(gram)))
+    assert ens.spectrum is None
+    return ens
+
+
+def counted(monkeypatch, *names):
+    """Record the matrix size of every call of np.linalg.<name>, per name."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def wrapper(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls[_name].append(len(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapper)
+    return calls
 
 
 class TestGramFromCode:
@@ -87,17 +122,14 @@ class TestCodeGramDistances:
         assert peak < 16 * 2 ** 20
 
 
-def unit_diagonal_gram(lam):
-    """A symmetric matrix with eigenvalues ``lam`` (mean 1) and unit diagonal.
-
-    Every entry of the orthonormal Sylvester basis H / sqrt(K) has square
-    1/K, so each diagonal entry of H diag(lam) H^T / K is mean(lam) = 1.
-    """
-    K = len(lam)
-    H = sylvester_hadamard(K.bit_length() - 1) / np.sqrt(K)
-    G = (H * lam) @ H.T
-    np.fill_diagonal(G, 1.0)
-    return G
+def xor_gram(lam):
+    """The XOR-invariant G_ij = g_{i xor j} with eigenvalues ``lam`` (mean 1)
+    and unit diagonal: G = H diag(lam) H / K, so g = fwht(lam) / K and
+    g_0 = mean(lam) = 1."""
+    g = fwht(np.asarray(lam, dtype=float)) / len(lam)
+    g[0] = 1.0
+    i = np.arange(len(lam))
+    return g[i[:, None] ^ i]
 
 
 def eigvalsh_rule(G):
@@ -109,9 +141,10 @@ def eigvalsh_rule(G):
 
 
 class TestPsdValidation:
-    # lambda_min as a multiple of the clamp -EIG_CLAMP_REL max(1, lambda_max): the
-    # Cholesky shortcut decides above -EIG_CLAMP_REL / 2 (at lambda_max ~ 205 only
-    # the first), the eigenvalue fallback below it
+    # lambda_min as a multiple of the clamp -EIG_CLAMP_REL max(1, lambda_max): in
+    # XOR order the Walsh spectrum decides above -EIG_CLAMP_REL, shuffled the
+    # Cholesky shortcut above -EIG_CLAMP_REL / 2 (at lambda_max ~ 205 each only
+    # the first), the eigenvalue fallback below them
     INSIDE = (-0.001, -0.25, -0.49, -0.51, -0.75, -0.99)
     OUTSIDE = (-1.01, -1.5, -1e3)
 
@@ -126,12 +159,16 @@ class TestPsdValidation:
     @pytest.mark.parametrize("K,lam_max", [(64, 64 / 63), (256, 256 - 0.2 * 254)],
                              ids=["lam_max~1", "lam_max~205"])
     @pytest.mark.parametrize("multiple", INSIDE + OUTSIDE)
-    def test_decides_and_words_as_the_eigvalsh_rule(self, K, lam_max, multiple):
-        G = unit_diagonal_gram(self.spectrum(K, lam_max, multiple))
+    @pytest.mark.parametrize("order", ["xor", "shuffled"])
+    def test_decides_and_words_as_the_eigvalsh_rule(self, K, lam_max, multiple, order):
+        G = xor_gram(self.spectrum(K, lam_max, multiple))
+        if order == "shuffled":
+            G = shuffled(G)
         expected = eigvalsh_rule(G)
         assert (expected is None) == (multiple in self.INSIDE)
         if expected is None:
-            disc.PureStateEnsemble(gram=G, priors=np.full(K, 1.0 / K))
+            ens = disc.PureStateEnsemble(gram=G, priors=np.full(K, 1.0 / K))
+            assert (ens.spectrum is None) == (order == "shuffled")
         else:
             with pytest.raises(disc.NotPSDError) as err:
                 disc.PureStateEnsemble(gram=G, priors=np.full(K, 1.0 / K))
@@ -150,14 +187,16 @@ class TestPsdValidation:
             with pytest.raises(disc.NotPSDError, match="Gram matrix has eigenvalue -0.49"):
                 disc.PureStateEnsemble(gram=G, priors=priors)
 
-    def test_code_gram_is_accepted_without_eigenvalues(self, monkeypatch):
-        G = disc.gram_from_code(rm1_code(7), 0.01).gram
-
-        def refuse(_):
-            raise AssertionError("eigvalsh called")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    # rm1_code(9): K = 1024, beyond the K = 670 up to which a Cholesky factor proves PSD
+    @pytest.mark.parametrize("m,order,cholesky", [(7, "xor", []), (9, "xor", []),
+                                                  (7, "shuffled", [256])])
+    def test_code_gram_is_accepted_without_eigenvalues(self, monkeypatch, m, order, cholesky):
+        G = disc.gram_from_code(rm1_code(m), 0.01).gram
+        if order == "shuffled":
+            G = shuffled(G)
+        calls = counted(monkeypatch, "eigvalsh", "cholesky")
         disc.PureStateEnsemble(gram=G, priors=np.full(len(G), 1.0 / len(G)))
+        assert calls == {"eigvalsh": [], "cholesky": cholesky}
 
 
 class TestSqrtmPsd:
@@ -212,35 +251,33 @@ class TestSharedSrmRows:
     reader, and shared by srm_channel and mpe_solve's first iterate."""
 
     @staticmethod
-    def count_eigh(monkeypatch):
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counted(a, *args, **kwargs):
-            calls.append(len(a))
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted)
-        return calls
-
-    @staticmethod
     def weighted_rm1(m, nbar, seed):
         w = 0.5 + np.random.default_rng(seed).random(2 ** (m + 1))
         return disc.PureStateEnsemble(gram=disc.gram_from_code(rm1_code(m), nbar).gram,
                                       priors=w / w.sum())
 
     def test_uniform_pair_makes_one_eigendecomposition(self, monkeypatch):
-        ens = disc.gram_from_code(rm1_code(3), 0.1)
-        calls = self.count_eigh(monkeypatch)
+        # shuffled codewords: uniform priors on a Gram that takes the eigh route
+        ens = shuffled_rm1(3, 0.1)
+        calls = counted(monkeypatch, "eigh")["eigh"]
         disc.srm_channel(ens)
         result = disc.mpe_solve(ens)
         assert result.iterations == 0
         assert calls == [16]
 
+    def test_uniform_code_pair_makes_no_eigendecomposition(self, monkeypatch):
+        # codewords in code order: the spectrum gives the rows
+        calls = counted(monkeypatch, "eigh", "eigvalsh", "cholesky")
+        ens = disc.gram_from_code(rm1_code(3), 0.1)
+        disc.srm_channel(ens)
+        result = disc.mpe_solve(ens)
+        assert result.iterations == 0
+        assert calls == {"eigh": [], "eigvalsh": [], "cholesky": []}
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_weighted_pair_makes_one_per_later_iterate(self, monkeypatch, seed):
         ens = self.weighted_rm1(3, 0.1, seed)
-        calls = self.count_eigh(monkeypatch)
+        calls = counted(monkeypatch, "eigh")["eigh"]
         disc.srm_channel(ens)
         result = disc.mpe_solve(ens)
         assert result.iterations >= 1
@@ -248,11 +285,16 @@ class TestSharedSrmRows:
 
     @pytest.mark.parametrize("seed", [None, 0, 1])
     def test_channel_is_the_uncached_srm_bit_for_bit(self, seed):
-        ens = (disc.gram_from_code(rm1_code(3), 0.1) if seed is None
-               else self.weighted_rm1(3, 0.1, seed))
+        ens = shuffled_rm1(3, 0.1) if seed is None else self.weighted_rm1(3, 0.1, seed)
         fresh = disc._stochastic_rows(disc._srm_rows(ens.gram, ens.priors))
         assert np.array_equal(disc.srm_channel(ens).p, fresh)
         # the second call reads the rows that the first one cached
+        assert np.array_equal(disc.srm_channel(ens).p, fresh)
+
+    def test_uniform_code_channel_is_the_spectrum_srm_bit_for_bit(self):
+        ens = disc.gram_from_code(rm1_code(3), 0.1)
+        fresh = disc._stochastic_rows(disc._walsh_srm_rows(ens.spectrum))
+        assert np.array_equal(disc.srm_channel(ens).p, fresh)
         assert np.array_equal(disc.srm_channel(ens).p, fresh)
 
     def test_cached_rows_are_read_only(self):
@@ -261,6 +303,57 @@ class TestSharedSrmRows:
         assert rows is ens.srm_rows
         with pytest.raises(ValueError, match="read-only"):
             rows[0, 0] = 0.0
+
+
+CODE_ORDERS = range(1, 8)
+SPECTRUM_NBARS = (1e-6, 1e-3, 0.01, 0.1, 1.0, 2.0)
+
+
+class TestWalshSpectrumRoute:
+    """An XOR-invariant Gram, G_ij = g_{i xor j} with K = 2^k, is proved PSD by
+    its Walsh spectrum, and at equal priors its SRM rows come from the
+    spectrum, with no eigendecomposition."""
+
+    @pytest.mark.parametrize("family", [hadamard_code, rm1_code], ids=["hadamard", "rm1"])
+    @pytest.mark.parametrize("m", CODE_ORDERS)
+    def test_rows_match_the_eigendecomposition(self, family, m):
+        for nbar in SPECTRUM_NBARS:
+            ens = disc.gram_from_code(family(m), nbar)
+            assert ens.spectrum is not None
+            # the worst difference, 2.5e-11, is at nbar = 1e-6
+            assert np.max(np.abs(ens.srm_rows - disc._srm_rows(ens.gram, ens.priors))) <= 1e-10
+
+    @pytest.mark.parametrize("m", CODE_ORDERS)
+    def test_mutual_information_matches_the_mpmath_oracle(self, m):
+        # geometric uniformity makes the SRM the MPE measurement here
+        for nbar in SPECTRUM_NBARS:
+            ens = disc.gram_from_code(rm1_code(m), nbar)
+            mi = mutual_information(disc.srm_channel(ens), ens.priors) / 2 ** m
+            assert mi == pytest.approx(float(rm_mpe_mp(m, nbar)), abs=1e-9)
+
+    def test_spectrum_is_the_eigenvalues(self):
+        ens = disc.gram_from_code(rm1_code(4), 0.1)
+        assert np.allclose(np.sort(ens.spectrum), np.linalg.eigvalsh(ens.gram), atol=1e-13)
+        with pytest.raises(ValueError, match="read-only"):
+            ens.spectrum[0] = 0.0
+
+    def test_gram_is_bit_identical(self):
+        gram = disc.gram_from_code(rm1_code(4), 0.1).gram
+        ens = disc.PureStateEnsemble(gram=gram, priors=np.full(32, 1 / 32))
+        assert np.array_equal(ens.gram, gram) and ens.gram is not gram
+
+    @pytest.mark.parametrize("gram", [
+        lambda: disc.gram_from_code(two_symbol_code(), 0.1).gram,
+        lambda: shuffled_rm1(3, 0.1).gram,
+        lambda: nudged(disc.gram_from_code(rm1_code(3), 0.1).gram),
+    ], ids=["K=3", "shuffled", "one-ulp"])
+    def test_other_grams_take_the_cholesky_route(self, gram, monkeypatch):
+        G = gram()
+        calls = counted(monkeypatch, "cholesky")
+        ens = disc.PureStateEnsemble(gram=G, priors=np.full(len(G), 1 / len(G)))
+        assert ens.spectrum is None
+        assert calls == {"cholesky": [len(G)]}
+        assert np.array_equal(ens.srm_rows, disc._srm_rows(ens.gram, ens.priors))
 
 
 class TestHelstromBinary:

@@ -40,6 +40,18 @@ def test_curve_grid_is_positive_at_entry(curve, bad):
         curve([0.1, bad])
 
 
+@pytest.mark.parametrize("curve", [lambda grid: sc.capacity_curves("rm_gm", 3, grid),
+                                   sc.two_symbol_ratio_curve],
+                         ids=["capacity_curves", "two_symbol_ratio_curve"])
+@pytest.mark.parametrize("grid", [[[0.1, 0.2]], [[0.1], [0.2]], 0.1, []],
+                         ids=["row", "column", "scalar", "empty"])
+def test_curve_grid_is_one_dimensional_in_the_same_words(curve, grid):
+    grid_text = np.asarray(grid, dtype=float)
+    message = f"need a nonempty 1-D grid of positive nbar values, got {grid_text}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        curve(grid)
+
+
 @pytest.mark.parametrize("priors", [[0.7, 0.5], [np.nan, 1.0], [-0.25, 1.25]])
 @pytest.mark.parametrize("entry", [
     lambda p: disc.PureStateEnsemble(gram=np.eye(2), priors=p),
