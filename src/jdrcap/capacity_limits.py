@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .codes import code_order
-from .entropy import LN2, _float_or_array, binary_entropy, xlog2
+from .entropy import LN2, _float_or_array, binary_entropy, phi, xlog2
 
 
 class ConsistencyError(ArithmeticError):
@@ -176,52 +176,42 @@ def rm_gm_jdr_capacity(m, nbar):
 
     [(1-p0)(m+1) + H(p0, 1-p0) - H(p+, p-, p0)] / 2^m bits/symbol. With
     ne = 1 - p0 and p_pm = ne (1 +- y)/2, y = 2 f(nP)/ne, the p0 terms cancel
-    identically and the rest is, without cancellation,
-
-        ne m + ne [(1+y) log1p(y) + (1-y) log1p(-y)] / (2 ln 2),
-
-    with 0 log 0 = 0 at y = 1.
+    identically and the rest is ne m + ne [phi(y) + phi(-y)] / (2 ln 2).
     """
     _, half, f = _rm_gm_pulse(m, nbar)
     not_erased = 2.0 * half
     y = np.minimum(np.divide(f, half, out=np.zeros_like(half), where=half > 0), 1.0)
-    # log1p(-1) = -inf only where its factor 1 - y is 0
-    tail = np.log1p(-y, out=np.zeros_like(y), where=y < 1.0)
-    mix = ((1.0 + y) * np.log1p(y) + (1.0 - y) * tail) / (2.0 * LN2)
+    mix = phi(np.stack([y, -y])).sum(axis=0) / (2.0 * LN2)
     return _float_or_array(not_erased * (m + mix) / (2 ** m))
 
 
 def rm_mpe_capacity(m, nbar):
     """Superchannel capacity of the minimum-error joint measurement on RM(1,m).
 
-    Closed form in terms of c^2, gamma and a_pm; tends to (m+1)/2^m at large
-    nbar. The discriminant gamma^2 - 4^m p0^2 factors exactly as
-    (1-p0)^2 (gamma + 2^m p0), which is used to avoid cancellation.
+    RM(1,m) is geometrically uniform, so its minimum-error measurement is the
+    SRM (Eldar & Forney, IEEE Trans. Inf. Theory 47, 2001): P(j|i) =
+    A_{i xor j}^2, A a row of G^{1/2}, and the output is uniform. With K =
+    2^{m+1}, p0 = e^{-2^m nbar} and e = 1 - p0, G's eigenvalues are L0 =
+    K p0 + e^2 (once), 1 - p0^2 (K/2 times) and e^2 (K/2 - 1 times), so
+    sqrt(K) A takes three values a = 1 + u,
+
+        u = [d + (K/2 - 1) e +- (K/2) sqrt(e (2 - e))] / sqrt(K)  (once each),
+        u = (d - e) / sqrt(K)                                      (K - 2 times),
+
+    d = sqrt(L0) - sqrt(K) = -e (K - e) / (sqrt(L0) + sqrt(K)); where u is
+    small nothing in it cancels. The capacity is D(A^2 || 1/K) / 2^m =
+    sum mult phi(a^2 - 1) / (K ln 2 2^m): 0 at nbar = 0, (2/ln 2) nbar at
+    small nbar and (m+1)/2^m at large.
     """
     m = code_order(m)
-    nbar = _photons(nbar)
-    n = 2 ** m
-    K = 2 ** (m + 1)
-    p0 = np.exp(-n * nbar)
-    gamma = 1.0 + 2.0 * p0 * (2 ** (m - 1) - 1) + p0 * p0
-    disc = (gamma - n * p0) * (gamma + n * p0)
-    if np.any(disc < -1e-12):
-        raise ConsistencyError(f"gamma^2 - 4^m p0^2 = {disc} < 0 at m={m}, nbar={nbar}")
-    one_minus_p0 = -np.expm1(-n * nbar)
-    sqrt_disc = one_minus_p0 * np.sqrt(gamma + n * p0)
-    c2 = (n * p0) ** 2 / (2 ** (2 * m + 1) * (gamma + sqrt_disc))
-    # deep orthogonal regime: once c^2 is subnormal or zero the corrections
-    # are O(p0 log p0) ~ 1e-154, below double precision
-    orthogonal = c2 < np.finfo(float).tiny
-    c2 = np.where(orthogonal, 1.0, c2)
-    c = np.sqrt(c2)
-    sym = (p0 - c2 * (K - 4)) / (2.0 * c)
-    anti = np.sqrt(one_minus_p0 * (1.0 + p0))
-    a_plus = 0.5 * (sym + anti)
-    a_minus = 0.5 * (sym - anti)
-    num = (m + 1) + xlog2(a_plus ** 2) + xlog2(a_minus ** 2) + (K - 2) * xlog2(c2)
-    bits = np.where(orthogonal, (m + 1) / n, np.maximum(num, 0.0) / n)
-    return _float_or_array(np.where(nbar == 0, 0.0, bits))
+    n_pulse = (2 ** m) * _photons(nbar)
+    K, root_k = 2 ** (m + 1), np.sqrt(2.0 ** (m + 1))
+    e = -np.expm1(-n_pulse)
+    d = -e * (K - e) / (np.sqrt(K * np.exp(-n_pulse) + e * e) + root_k)
+    flip = (K / 2) * np.sqrt(e * (2.0 - e))
+    u = np.stack([d + (K / 2 - 1) * e + flip, d + (K / 2 - 1) * e - flip, d - e]) / root_k
+    terms = phi(u * (2.0 + u))
+    return _float_or_array((terms[0] + terms[1] + (K - 2) * terms[2]) / (K * LN2 * 2 ** m))
 
 
 CLOSED_FORMS = {

@@ -15,9 +15,9 @@ such as a Hadamard or RM(1,m) code's, is XOR-invariant: G_ij = g_{i xor j},
 K = 2^k. Its eigenvalues are the Walsh transform of g, which proves it PSD,
 and at equal weights the SRM has the closed form (G^{1/2})_ij^2 with
 G^{1/2}_ij = fwht(sqrt(fwht g))_{i xor j} / K: O(K^2) work and no
-eigendecomposition. Any other Gram is proved PSD by one Cholesky
-factorisation, with the eigenvalues computed only where that fails, and
-its SRM takes one eigendecomposition of What, as does any weighted SRM.
+eigendecomposition. Any other Gram, or one the spectrum cannot prove PSD,
+is decided by its eigenvalues, and its SRM takes one eigendecomposition of
+What, as does any weighted SRM.
 The SRM is the weighted SRM at w = priors; the minimum-probability-of-error
 (MPE) measurement is the weighted SRM at the weights that solve its
 optimality conditions (Mochon, Phys. Rev. A 73, 032328, 2006), found by
@@ -46,29 +46,6 @@ MPE_MAX_ITER = 10000
 
 class NotPSDError(ValueError):
     """Matrix eigenvalues fall below the PSD clamp threshold."""
-
-
-def _cholesky_psd(G):
-    """Whether a Cholesky factorisation proves the unit-diagonal G PSD to the clamp.
-
-    A symmetric G with unit diagonal has lambda_max >= 1. A computed Cholesky
-    factor of G + (tol/2) I, tol = EIG_CLAMP_REL, is exact for that matrix
-    perturbed by at most about K (K + 1) u in the 2-norm (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., ch. 10). So if it exists,
-    lambda_min(G) > -tol >= -tol max(1, lambda_max) while that perturbation
-    is below tol/2, i.e. for K <= 670. A failure, or a larger K, proves
-    nothing.
-    """
-    K = len(G)
-    if K * (K + 1) * np.finfo(float).eps / 2 >= EIG_CLAMP_REL / 2:
-        return False
-    shifted = G.copy()
-    shifted.flat[::K + 1] += EIG_CLAMP_REL / 2
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def _xor_gram(G):
@@ -108,9 +85,8 @@ class PureStateEnsemble:
     An XOR-invariant Gram, G_ij = g_{i xor j} exactly with K = 2^k, is
     symmetric as given; ``spectrum`` holds its eigenvalues, fwht(g), which
     prove it PSD where they can (_walsh_psd). Every other ensemble has
-    ``spectrum`` None. A Cholesky factorisation proves PSD where the
-    spectrum does not (_cholesky_psd), and only where neither can do the
-    eigenvalues decide.
+    ``spectrum`` None, and where no spectrum proves it the eigenvalues
+    decide.
 
     ``srm_rows``, the raw rows of the SRM at w = priors, are computed on
     first use, once per ensemble, and shared by ``srm_channel`` and the
@@ -140,7 +116,7 @@ class PureStateEnsemble:
             G, spectrum = xor, fwht(xor[0])
             spectrum.setflags(write=False)
             proved = _walsh_psd(spectrum, G[0])
-        if not (proved or _cholesky_psd(G)):
+        if not proved:
             lam = np.linalg.eigvalsh(G)
             if lam[0] < -EIG_CLAMP_REL * max(1.0, float(np.max(np.abs(lam)))):
                 raise NotPSDError(f"Gram matrix has eigenvalue {lam[0]}")

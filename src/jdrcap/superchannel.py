@@ -14,7 +14,7 @@ import numpy as np
 from . import discrimination, optics_sim
 from .capacity_limits import _photons, c1_bpsk_dolinar, closed_form
 from .dmc import ConvergenceError, check_priors, check_rows
-from .entropy import xlog2
+from .entropy import relative_entropy
 
 BA_TOL = 1e-12              # Blahut-Arimoto stop: width of the capacity bracket
 BA_MAX_ITER = 100000
@@ -26,18 +26,12 @@ def mutual_information(channel, priors):
 
 
 def _mutual_information(P, r):
-    """I(X;Y) in bits of stacked channels P (..., I, O) at priors r (..., I), unchecked."""
-    h_out = -np.sum(xlog2((r[..., None, :] @ P)[..., 0, :]), axis=-1)
-    h_cond = np.sum(r * -np.sum(xlog2(P), axis=-1), axis=-1)
-    return np.maximum(h_out - h_cond, 0.0)
-
-
-def _relative_entropies(P, out_dist):
-    """D(P(.|i) || q) in bits per input, with 0 log 0/0 = 0."""
-    ratio = np.ones_like(P)
-    nz = P > 0
-    ratio[nz] = P[nz] / np.broadcast_to(out_dist, P.shape)[nz]
-    return np.sum(P * np.log2(ratio, where=nz, out=np.zeros_like(P)), axis=1)
+    """I(X;Y) = sum_x r_x D(P_x||q), q = r P, in bits of stacked channels P (..., I, O)
+    at priors r (..., I), unchecked. Zero-prior rows are replaced by q: they count nothing."""
+    q = r[..., None, :] @ P
+    if not r.all():
+        P = np.where(r[..., None] > 0, P, q)
+    return np.maximum(np.vecdot(r, relative_entropy(P, q)), 0.0)
 
 
 def capacity_blahut_arimoto(channel):
@@ -53,8 +47,7 @@ def capacity_blahut_arimoto(channel):
     r = np.full(K, 1.0 / K)
     lower = upper = np.nan
     for _ in range(BA_MAX_ITER):
-        out_dist = r @ P
-        D = _relative_entropies(P, out_dist)
+        D = relative_entropy(P, r @ P)
         lower = float(np.dot(r, D))
         upper = float(np.max(D))
         if upper - lower < BA_TOL:

@@ -112,9 +112,10 @@ def rm_gm_mp(m, nbar, dps=40):
 def rm_mpe_mp(m, nbar, dps=60):
     """RM(1,m) minimum-error capacity: the paper's c^2 closed form at ``dps`` digits.
 
-    The discriminant gamma^2 - 4^m p0^2 is formed directly, not through the
-    (1-p0)^2 (gamma + 2^m p0) factorization the package uses, and c^2 never
-    underflows at this precision.
+    It shares nothing with the package's route through the Gram spectrum: the
+    discriminant gamma^2 - 4^m p0^2 is formed directly, and c^2 never
+    underflows at this precision. Small nbar needs digits to spare past the
+    cancellation of the (m+1) term, about 30 more than at nbar ~ 1.
     """
     with mp.workdps(dps):
         nbar = mp.mpf(nbar)

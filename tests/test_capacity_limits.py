@@ -30,8 +30,8 @@ B_SWITCH = (np.nextafter(LN2, 0.0), LN2, np.nextafter(LN2, 1.0))
 B_FAR = (100.0, 700.0, 745.0, 800.0, 1e4, np.inf)
 F_GRID = np.concatenate([np.geomspace(1e-8, 60.0, 400), B_HARD, B_SWITCH, B_FAR])
 
-# every closed form that takes an nbar array; m = 7 puts the rm_mpe
-# subnormal-c^2 band (2^m nbar ~ 354-372) and full underflow on the grid
+# every closed form that takes an nbar array; m = 7 puts the band where the
+# paper's rm_mpe c^2 is subnormal (2^m nbar ~ 354-372) and full underflow on the grid
 NBAR_POS = np.concatenate([np.geomspace(1e-7, 30.0, 80), [2.894]])
 NBAR_ALL = np.concatenate([[0.0], NBAR_POS])
 ARRAY_CLOSED_FORMS = pytest.mark.parametrize("fn,grid", [
@@ -335,7 +335,7 @@ class TestRmGmJdrCapacity:
 class TestRmMpeCapacity:
     @pytest.mark.parametrize("m,nbar", [(7, 2.894), (8, 1.438), (9, 0.724), (10, 0.3576)])
     def test_subnormal_c2_matches_mpmath(self, m, nbar):
-        # c^2 is a subnormal double here; it used to be taken as exact
+        # the paper's c^2 is a subnormal double here, which its closed form loses digits to
         assert cl.rm_mpe_capacity(m, nbar) == pytest.approx(float(rm_mpe_mp(m, nbar)), abs=1e-12)
 
     def test_large_nbar_limit(self):
@@ -362,17 +362,26 @@ class TestRmMpeCapacity:
             assert pie == pytest.approx(2.0 / LN2, rel=0.01)
 
 
-# rm_gm is free of cancellation, so it holds a relative bound; rm_mpe's c^2 form
-# still cancels at small nbar and holds an absolute one
-@pytest.mark.parametrize("closed_form,oracle,rel,abs_", [
-    (cl.rm_gm_jdr_capacity, rm_gm_mp, 4 * EPS, 0.0),
-    (cl.rm_mpe_capacity, rm_mpe_mp, 0.0, 1e-14)], ids=["rm_gm", "rm_mpe"])
-def test_rm_families_match_mpmath_over_the_cli_range(closed_form, oracle, rel, abs_):
+# both are free of cancellation, so both hold relative bounds; rm_mpe sums three
+# phi terms of amplitudes that each take a few roundings
+@pytest.mark.parametrize("closed_form,oracle,rel", [
+    (cl.rm_gm_jdr_capacity, rm_gm_mp, 4 * EPS),
+    (cl.rm_mpe_capacity, rm_mpe_mp, 16 * EPS)], ids=["rm_gm", "rm_mpe"])
+def test_rm_families_match_mpmath_over_the_cli_range(closed_form, oracle, rel):
     # every code order the CLI takes and its nbar range; rm_gm_mp shares no f(b) with the package
     nbar = np.geomspace(1e-6, 10.0, 29)
     for m in range(1, 11):
         ref = np.array([float(oracle(m, x)) for x in nbar])
-        assert np.all(np.abs(closed_form(m, nbar) - ref) <= rel * ref + abs_), m
+        assert np.all(np.abs(closed_form(m, nbar) - ref) <= rel * ref), m
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 7, 10])
+def test_rm_mpe_matches_mpmath_down_to_1e_30(m):
+    # the capacity is about (2/ln 2) nbar here; 80 digits leave the oracle's c^2 form
+    # some 50 to spare at 1e-30
+    nbar = np.geomspace(1e-30, 1e-6, 25)
+    ref = np.array([float(rm_mpe_mp(m, x, dps=80)) for x in nbar])
+    assert np.all(np.abs(cl.rm_mpe_capacity(m, nbar) - ref) <= 16 * EPS * ref)
 
 
 @pytest.mark.parametrize("cap", [cl.rm_gm_jdr_capacity, cl.rm_mpe_capacity])

@@ -184,6 +184,16 @@ class TestSuperchannel:
         _, rows = parse_csv(out)
         assert rows[0, 2] == pytest.approx(2.8854, rel=0.01)
 
+    def test_rm_mpe_pie_at_1e_30_is_the_small_nbar_limit(self, capsys):
+        # the PIE tends to 2/ln 2; at 1e-30 it is 2/ln 2 to within 1e-15 relative
+        code, out, _ = run(capsys, ["superchannel", "--family", "rm_mpe", "--m", "1",
+                                    "--nbar-min", "1e-30", "--nbar-max", "1e-6",
+                                    "--points", "5"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows[0, 0] == 1e-30
+        assert abs(rows[0, 2] - 2.0 / math.log(2.0)) <= 1e-14
+
     def test_two_symbol_ratio_column(self, capsys):
         code, out, _ = run(capsys, ["superchannel", "--family", "two_symbol",
                                     "--receiver", "structured",

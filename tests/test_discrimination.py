@@ -142,9 +142,8 @@ def eigvalsh_rule(G):
 
 class TestPsdValidation:
     # lambda_min as a multiple of the clamp -EIG_CLAMP_REL max(1, lambda_max): in
-    # XOR order the Walsh spectrum decides above -EIG_CLAMP_REL, shuffled the
-    # Cholesky shortcut above -EIG_CLAMP_REL / 2 (at lambda_max ~ 205 each only
-    # the first), the eigenvalue fallback below them
+    # XOR order the Walsh spectrum decides above -EIG_CLAMP_REL (at lambda_max ~ 205
+    # only the first), the eigenvalues below it and in any other order
     INSIDE = (-0.001, -0.25, -0.49, -0.51, -0.75, -0.99)
     OUTSIDE = (-1.01, -1.5, -1e3)
 
@@ -175,28 +174,30 @@ class TestPsdValidation:
             assert str(err.value) == expected
 
     @pytest.mark.parametrize("entry,psd", [(0.5, True), (1.5, False)])
-    def test_beyond_the_cholesky_proof_the_eigenvalues_decide(self, entry, psd):
-        K = 700         # above the K = 670 up to which a Cholesky factor proves PSD
+    def test_other_grams_are_decided_by_the_eigenvalues(self, monkeypatch, entry, psd):
+        K = 700
         G = np.eye(K)
         G[0, 1] = G[1, 0] = entry       # eigenvalues 1 +- entry
-        assert not disc._cholesky_psd(G)
         priors = np.full(K, 1.0 / K)
+        calls = counted(monkeypatch, "eigvalsh", "cholesky")
         if psd:
             disc.PureStateEnsemble(gram=G, priors=priors)
         else:
             with pytest.raises(disc.NotPSDError, match="Gram matrix has eigenvalue -0.49"):
                 disc.PureStateEnsemble(gram=G, priors=priors)
+        assert calls == {"eigvalsh": [K], "cholesky": []}
 
-    # rm1_code(9): K = 1024, beyond the K = 670 up to which a Cholesky factor proves PSD
-    @pytest.mark.parametrize("m,order,cholesky", [(7, "xor", []), (9, "xor", []),
+    # rm1_code(9): K = 1024; shuffled, the Gram is no longer XOR-invariant
+    @pytest.mark.parametrize("m,order,eigvalsh", [(7, "xor", []), (9, "xor", []),
                                                   (7, "shuffled", [256])])
-    def test_code_gram_is_accepted_without_eigenvalues(self, monkeypatch, m, order, cholesky):
+    def test_code_gram_takes_eigenvalues_only_out_of_code_order(self, monkeypatch, m, order,
+                                                                eigvalsh):
         G = disc.gram_from_code(rm1_code(m), 0.01).gram
         if order == "shuffled":
             G = shuffled(G)
         calls = counted(monkeypatch, "eigvalsh", "cholesky")
         disc.PureStateEnsemble(gram=G, priors=np.full(len(G), 1.0 / len(G)))
-        assert calls == {"eigvalsh": [], "cholesky": cholesky}
+        assert calls == {"eigvalsh": eigvalsh, "cholesky": []}
 
 
 class TestSqrtmPsd:
@@ -347,12 +348,12 @@ class TestWalshSpectrumRoute:
         lambda: shuffled_rm1(3, 0.1).gram,
         lambda: nudged(disc.gram_from_code(rm1_code(3), 0.1).gram),
     ], ids=["K=3", "shuffled", "one-ulp"])
-    def test_other_grams_take_the_cholesky_route(self, gram, monkeypatch):
+    def test_other_grams_take_the_eigenvalue_route(self, gram, monkeypatch):
         G = gram()
-        calls = counted(monkeypatch, "cholesky")
+        calls = counted(monkeypatch, "eigvalsh", "cholesky")
         ens = disc.PureStateEnsemble(gram=G, priors=np.full(len(G), 1 / len(G)))
         assert ens.spectrum is None
-        assert calls == {"cholesky": [len(G)]}
+        assert calls == {"eigvalsh": [len(G)], "cholesky": []}
         assert np.array_equal(ens.srm_rows, disc._srm_rows(ens.gram, ens.priors))
 
 
@@ -538,8 +539,7 @@ class TestTwoSymbolMpeRows:
         priors = np.array([1 - 2 * p, p, p])
         channel = disc.DiscreteChannel(disc._two_symbol_mpe_rows(nbar, p))
         expected = float(two_symbol_mpe_mp(nbar, p))
-        rel = abs(mutual_information(channel, priors) / expected - 1.0)
-        assert rel <= (1e-9 if nbar < 1e-5 else 1e-10)
+        assert abs(mutual_information(channel, priors) / expected - 1.0) <= 1e-13
 
     def test_rows_sum_to_one(self):
         nbar = np.geomspace(1e-300, 1e3, 301)[:, None]

@@ -50,6 +50,13 @@ class TestMutualInformation:
         assert sc.mutual_information(ch, priors) == pytest.approx(
             mutual_information_direct(p, priors), abs=1e-12)
 
+    def test_zero_prior_row_counts_nothing(self):
+        # the unused input reaches an output no other input does, and one where q
+        # is subnormal, so P/q there would overflow
+        p = np.array([[0.5, 0.5, 0.0, 0.0], [0.25, 0.75, 1e-310, 0.0], [0.0, 0.0, 0.5, 0.5]])
+        live = sc.mutual_information(DiscreteChannel(p[:2]), [0.5, 0.5])
+        assert sc.mutual_information(DiscreteChannel(p), [0.5, 0.5, 0.0]) == live
+
     def test_rejects_bad_priors(self):
         with pytest.raises(ValueError):
             sc.mutual_information(bsc(0.1), [0.7, 0.5])
@@ -200,6 +207,13 @@ class TestTwoSymbolRatioCurve:
     def test_rejects_unknown_receiver(self):
         with pytest.raises(ValueError, match="unknown receiver"):
             sc.two_symbol_ratio_curve([0.1], "helstrom")
+
+    @pytest.mark.parametrize("receiver", ["structured", "mpe"])
+    def test_ratio_holds_its_small_nbar_limit_down_to_1e_20(self, receiver):
+        # I2 and C1 fall like nbar here, far below the output entropy's terms near 1
+        i2, c1 = sc.two_symbol_ratio_curve([1e-10, 1e-12, 1e-16, 1e-20], receiver)
+        ratio = i2 / c1
+        assert np.all(np.abs(ratio[1:] - ratio[0]) <= 1e-6)
 
     def test_mpe_where_the_states_nearly_merge(self):
         nbar = 1e-6
