@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .codes import code_order
-from .entropy import LN2, _float_or_array, binary_entropy, phi, xlog2
+from .entropy import LN2, _float_or_array, phi, symmetric_split
 
 
 class ConsistencyError(ArithmeticError):
@@ -33,17 +33,17 @@ def _photons(x, strict=False):
 def g(nbar):
     """Holevo capacity of a lossless bosonic mode, (1+n)log2(1+n) - n log2(n) bits.
 
-    g(0) = 0 by the x log x -> 0 convention, and g(inf) = inf. From n = 1 on
-    the two terms nearly cancel, so there g = log2(1+n) + n log2(1 + 1/n);
-    below 1 they do not, and 1/n would overflow for subnormal n.
+    g(0) = 0 and g(inf) = inf. With (1+n) ln(1+n) = phi(n) + n, g ln 2 is
+    phi(n) + n - n ln n below n = 1 and ln n + 1 + n phi(1/n) from 1 on:
+    sums of terms >= 0, and 1/n never overflows.
     """
     nbar = _photons(nbar)
     big = np.isinf(nbar)
     n = np.where(big, 0.0, nbar)    # keeps inf - inf out of the formula
     lo, hi = np.minimum(n, 1.0), np.maximum(n, 1.0)   # each form only where it is finite
-    below = (1.0 + lo) * np.log1p(lo) / LN2 - xlog2(lo)
-    above = (np.log1p(hi) + hi * np.log1p(1.0 / hi)) / LN2
-    return _float_or_array(np.where(big, np.inf, np.where(n < 1.0, below, above)))
+    below = phi(lo) + lo - lo * np.log(np.where(lo > 0, lo, 1.0))
+    above = np.log(hi) + 1.0 + hi * phi(1.0 / hi)
+    return _float_or_array(np.where(big, np.inf, np.where(n < 1.0, below, above) / LN2))
 
 
 def pie_ultimate(nbar):
@@ -82,9 +82,13 @@ def nbar_for_pie(target_pie):
 
 
 def holevo_bpsk(nbar):
-    """Holevo limit of the BPSK alphabet: H_b((1 + e^{-2 nbar})/2) bits/symbol."""
-    # evaluate the entropy at the small branch (1 - e^{-2n})/2 for stability
-    return binary_entropy(-np.expm1(-2.0 * _photons(nbar)) / 2.0)
+    """Holevo limit of the BPSK alphabet: H_b(q) bits/symbol, q = (1 - e^{-2 nbar})/2.
+
+    With (1-q) ln(1-q) = phi(-q) - q, H_b(q) ln 2 = [q - phi(-q)] - q ln q,
+    two terms >= 0 for q <= 1/2; at q = 1/2 they round to ln 2 exactly.
+    """
+    q = -np.expm1(-2.0 * _photons(nbar)) / 2.0
+    return _float_or_array((q - phi(-q) - q * np.log(np.where(q > 0, q, 1.0))) / LN2)
 
 
 def dolinar_error_q(nbar):
@@ -95,15 +99,10 @@ def dolinar_error_q(nbar):
 def c1_bpsk_dolinar(nbar):
     """Single-symbol BPSK capacity 1 - H_b(q) of the Dolinar-receiver BSC.
 
-    With x = sqrt(1 - e^{-4 nbar}) and q = (1 - x)/2, ln(1 - x^2) = -4 nbar
-    turns 1 - H_b(q), which cancels as q -> 1/2, into
-    [x log1p(x) - 2 nbar e^{-4 nbar} / (1 + x)] / ln 2.
+    q = (1 - x)/2 with x = sqrt(1 - e^{-4 nbar}), so C1 = symmetric_split(x),
+    which does not cancel as q -> 1/2 and is exactly 1 at x = 1.
     """
-    # past nbar = 200, e^{-4 nbar} underflows and c1 is exactly 1; the clamp
-    # keeps 4 nbar finite and inf * 0 out of the formula
-    n = np.minimum(_photons(nbar), 200.0)
-    x = np.sqrt(-np.expm1(-4.0 * n))
-    return _float_or_array((x * np.log1p(x) - 2.0 * n * np.exp(-4.0 * n) / (1.0 + x)) / LN2)
+    return symmetric_split(np.sqrt(-np.expm1(-4.0 * _photons(nbar))))
 
 
 # 16-node Gauss-Legendre rule on [0, 1], as the squared nodes t^2 and the weights:
@@ -176,13 +175,12 @@ def rm_gm_jdr_capacity(m, nbar):
 
     [(1-p0)(m+1) + H(p0, 1-p0) - H(p+, p-, p0)] / 2^m bits/symbol. With
     ne = 1 - p0 and p_pm = ne (1 +- y)/2, y = 2 f(nP)/ne, the p0 terms cancel
-    identically and the rest is ne m + ne [phi(y) + phi(-y)] / (2 ln 2).
+    identically and the rest is ne m + ne symmetric_split(y).
     """
     _, half, f = _rm_gm_pulse(m, nbar)
     not_erased = 2.0 * half
     y = np.minimum(np.divide(f, half, out=np.zeros_like(half), where=half > 0), 1.0)
-    mix = phi(np.stack([y, -y])).sum(axis=0) / (2.0 * LN2)
-    return _float_or_array(not_erased * (m + mix) / (2 ** m))
+    return _float_or_array(not_erased * (m + symmetric_split(y)) / (2 ** m))
 
 
 def rm_mpe_capacity(m, nbar):

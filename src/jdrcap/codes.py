@@ -60,12 +60,14 @@ def sylvester_hadamard(m):
 def hadamard_code(m, with_ancilla=False):
     """The (2^m - 1, 2^m, 2^{m-1}) binary Hadamard code.
 
-    Rows of the Sylvester matrix mapped +1 -> 0, -1 -> 1. With the ancilla
-    (pilot) the constant first coordinate is kept, giving block length 2^m;
-    without it that coordinate is deleted.
+    Rows of the Sylvester matrix mapped +1 -> 0, -1 -> 1: bit (i, j) is the
+    parity of popcount(i & j). With the ancilla (pilot) the constant first
+    coordinate is kept, giving block length 2^m; without it that coordinate
+    is deleted.
     """
     m = code_order(m)
-    bits = ((1 - sylvester_hadamard(m)) // 2).astype(np.uint8)
+    i = np.arange(1 << m)
+    bits = np.bitwise_count(i[:, None] & i) & 1
     if not with_ancilla:
         bits = bits[:, 1:]
     return BinaryCode(n=bits.shape[1], size=2 ** m, d=2 ** (m - 1), codewords=bits,

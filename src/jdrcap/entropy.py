@@ -3,8 +3,9 @@
 One second-order kernel carries every information quantity: with phi(v) =
 (1 + v) ln(1 + v) - v >= 0, D(P||q) = sum_y q_y phi(P_y/q_y - 1) has no
 first-order term to cancel. Mutual information and Blahut-Arimoto take D;
-the RM(1,m) closed forms sum phi. ``xlog2`` and ``binary_entropy`` serve
-the entropy forms of g and of the BPSK Holevo bound.
+g, the BPSK Holevo bound and the RM(1,m) closed forms sum phi, and C1 and
+the Green Machine capacity share ``symmetric_split``, the 1 - H_b of a
+binary split (1 +- y)/2.
 """
 
 import numpy as np
@@ -15,36 +16,6 @@ LN2 = float(np.log(2.0))
 def _float_or_array(x):
     """A 0-d result as a Python float, any other as the array itself."""
     return float(x) if np.ndim(x) == 0 else x
-
-
-def xlog2(x):
-    """x*log2(x) with the limit convention xlog2(0) = 0.
-
-    Accepts scalars or arrays; never returns NaN for inputs in [0, 1].
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("xlog2 requires nonnegative input")
-    out = np.zeros_like(x)
-    nz = x > 0
-    np.log2(x, where=nz, out=out)
-    out *= x
-    return _float_or_array(out)
-
-
-def binary_entropy(q):
-    """H_b(q) in bits, stable near q = 0 and q = 1.
-
-    The (1-q)log2(1-q) term uses log1p so that tiny q does not lose the
-    linear-in-q contribution to cancellation. Accepts scalars or arrays.
-    """
-    q = np.asarray(q, dtype=float)
-    if not np.all((q >= 0.0) & (q <= 1.0)):
-        raise ValueError(f"binary entropy needs q in [0,1], got {q}")
-    inner = (q > 0.0) & (q < 1.0)
-    q = np.where(inner, q, 0.5)
-    h = np.where(inner, -q * np.log2(q) - (1.0 - q) * np.log1p(-q) / LN2, 0.0)
-    return _float_or_array(h)
 
 
 def phi(v):
@@ -62,6 +33,14 @@ def phi(v):
     series = z * (2.0 + v) * (1.0 + s * (1.0 + s) * u)
     direct = (1.0 + v) * np.log1p(v, out=np.zeros_like(v), where=v > -1.0) - v
     return _float_or_array(np.where((v > -0.5) & (v < 2.0), series, direct))
+
+
+def symmetric_split(y):
+    """1 - H_b((1 - y)/2) = [phi(y) + phi(-y)] / (2 ln 2) bits for y in [-1, 1].
+
+    Second order in y, so no term cancels as y -> 0; y = +-1 gives 1.
+    """
+    return _float_or_array(phi(np.stack([y, -y])).sum(axis=0) / (2.0 * LN2))
 
 
 def relative_entropy(P, q):

@@ -18,6 +18,9 @@ from .entropy import relative_entropy
 
 BA_TOL = 1e-12              # Blahut-Arimoto stop: width of the capacity bracket
 BA_MAX_ITER = 100000
+# below this nbar the two-symbol rows near 1 cannot hold their deviations from the
+# no-click outcome, and I2 falls silently short, so a grid reaching under it is refused
+TWO_SYMBOL_FLOOR = 1e-20
 
 
 def mutual_information(channel, priors):
@@ -122,10 +125,13 @@ def two_symbol_ratio_curve(nbar_grid, receiver="structured"):
     the measurement is re-optimized for each prior, in its one-angle form,
     before the mutual information is evaluated. One prior scan covers the
     whole grid: each of its steps is one array computation over every nbar.
-    The grid must be 1-D and nonempty. Returns the arrays (i2, c1), aligned
-    with the grid; the ratio is i2 / c1.
+    The grid must be 1-D, nonempty and no lower than TWO_SYMBOL_FLOOR.
+    Returns the arrays (i2, c1), aligned with the grid; the ratio is i2 / c1.
     """
     nbar_grid = _curve_grid(nbar_grid)
+    if nbar_grid.min() < TWO_SYMBOL_FLOOR:
+        raise ValueError(f"the two-symbol curve holds only from nbar = {TWO_SYMBOL_FLOOR:g} "
+                         f"up, got nbar = {nbar_grid.min():g}")
     if receiver == "structured":
         structured = check_rows(optics_sim._two_symbol_rows(nbar_grid))[:, None]
 

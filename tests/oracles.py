@@ -13,7 +13,6 @@ import numpy as np
 from scipy.stats import binom
 
 from jdrcap.capacity_limits import dolinar_error_q
-from jdrcap.entropy import binary_entropy
 
 
 def dense_walsh(v):
@@ -95,6 +94,14 @@ def c1_dolinar_mp(nbar, dps=700):
         n = mp.mpf(nbar)
         q = (1 - mp.sqrt(1 - mp.exp(-4 * n))) / 2
         return 1 + _xlog2_mp(q) + _xlog2_mp(1 - q)
+
+
+def holevo_bpsk_mp(nbar, dps=700):
+    """H_b(q), q = (1 - e^{-2n})/2, as written, at ``dps`` digits: 700 hold
+    the 1 of 1 - q against q ~ 1e-300."""
+    with mp.workdps(dps):
+        q = -mp.expm1(-2 * mp.mpf(nbar)) / 2
+        return -_xlog2_mp(q) - _xlog2_mp(1 - q)
 
 
 def rm_gm_mp(m, nbar, dps=40):
@@ -179,8 +186,11 @@ def two_symbol_mpe_mp(nbar, p, dps=50):
                        for i in range(3) for j in range(3) if r[i] > 0 and P[i][j] > 0)
 
 
-def bsc_capacity(q):
-    return 1.0 - binary_entropy(q)
+def bsc_capacity(q, dps=40):
+    """1 - H_b(q) in bits, as written, at ``dps`` digits."""
+    with mp.workdps(dps):
+        q = mp.mpf(q)
+        return float(1 + _xlog2_mp(q) + _xlog2_mp(1 - q))
 
 
 def bec_capacity(eps):

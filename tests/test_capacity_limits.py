@@ -13,7 +13,15 @@ from hypothesis import strategies as st
 from jdrcap import capacity_limits as cl
 from jdrcap.entropy import LN2
 
-from oracles import c1_dolinar_mp, f_mp, g_mp, gauss_legendre_f, rm_gm_mp, rm_mpe_mp
+from oracles import (
+    c1_dolinar_mp,
+    f_mp,
+    g_mp,
+    gauss_legendre_f,
+    holevo_bpsk_mp,
+    rm_gm_mp,
+    rm_mpe_mp,
+)
 
 # high-precision scalar recomputations (mpmath, 40 digits) frozen for the tests
 HOLEVO_BPSK_AT_0P1 = 0.43858456767415076
@@ -93,11 +101,12 @@ class TestG:
         assert list(cl.g(np.array([1.0, np.inf]))) == [cl.g(1.0), np.inf]
 
     def test_matches_mpmath_from_1e_minus_300_to_1e300(self):
-        # (1+n)log2(1+n) - n log2 n lost 2.8e-5 at n = 1e12 and was NaN past 2.5e305
+        # (1+n)log2(1+n) - n log2 n lost 2.8e-5 at n = 1e12 and was NaN past 2.5e305;
+        # both forms in phi sum terms >= 0, so a few roundings bound the error
         grid = np.geomspace(1e-300, 1e300, 200)
         for n, got in zip(grid, cl.g(grid), strict=True):
             want = g_mp(n)
-            assert abs(got - want) <= 1e-15 * want, n
+            assert abs(got - want) <= 4 * EPS * want, n
 
 
 class TestPieUltimate:
@@ -198,6 +207,13 @@ class TestHolevoBpsk:
         with pytest.raises(ValueError):
             cl.holevo_bpsk(-0.1)
 
+    def test_matches_mpmath_from_1e_minus_300_to_1e5(self):
+        # the two terms of H_b(q) ln 2 = [q - phi(-q)] - q ln q are >= 0 for q <= 1/2
+        grid = np.geomspace(1e-300, 1e5, 200)
+        want = np.array([float(holevo_bpsk_mp(n)) for n in grid])
+        assert np.all(np.abs(cl.holevo_bpsk(grid) - want) <= 4 * EPS * want)
+        assert cl.holevo_bpsk(np.inf) == 1.0
+
 
 class TestDolinarErrorQ:
     def test_indistinguishable_states(self):
@@ -227,12 +243,13 @@ class TestC1Dolinar:
         assert cl.c1_bpsk_dolinar(np.inf) == 1.0
         assert cl.c1_bpsk_dolinar(5e-324) > 0.0
 
-    def test_matches_mpmath_from_1e_minus_300_to_30(self):
-        # 1 - H_b(q) cancels as q -> 1/2: 15% off at nbar = 1e-16 and 0 from 1e-20
-        grid = np.geomspace(1e-300, 30.0, 200)
+    def test_matches_mpmath_from_1e_minus_300_to_1e5(self):
+        # 1 - H_b(q) cancels as q -> 1/2: 15% off at nbar = 1e-16 and 0 from 1e-20;
+        # symmetric_split is second order in x = 1 - 2q and does not
+        grid = np.geomspace(1e-300, 1e5, 200)
         for n, got in zip(grid, cl.c1_bpsk_dolinar(grid), strict=True):
             want = c1_dolinar_mp(n)
-            assert abs(got - want) <= 1e-15 * want, n
+            assert abs(got - want) <= 4 * EPS * want, n
 
     def test_low_nbar_pie_cap(self):
         pie = cl.c1_bpsk_dolinar(1e-6) / 1e-6
@@ -475,3 +492,18 @@ class TestOrderingInvariant:
     def test_c1_below_envelope_in_superadditive_window(self):
         for nbar in np.geomspace(1e-6, 0.03, 60):
             assert cl.c1_bpsk_dolinar(nbar) <= self._envelope(nbar) + 1e-12
+
+
+def test_every_bpsk_capacity_lies_below_the_bpsk_holevo_bound_from_1e_minus_300():
+    # every code here is a BPSK code, so on the whole span the CLI accepts each capacity
+    # lies in [0, holevo_bpsk], up to round-off (rm_mpe at m = 1 meets the bound at large
+    # nbar), and holevo_bpsk <= g, where the two agree to first order at small nbar
+    nbar = np.geomspace(1e-300, 1e3, 241)
+    holevo = cl.holevo_bpsk(nbar)
+    assert np.all(holevo <= cl.g(nbar))
+    caps = [cl.c1_bpsk_dolinar(nbar)] + [cap(m, nbar) for cap in cl.CLOSED_FORMS.values()
+                                         for m in range(1, 11)]
+    for cap in caps:
+        assert np.all(np.isfinite(cap) & (cap >= 0.0) & (cap <= (1.0 + 8 * EPS) * holevo))
+    pie = np.array([cl.rm_mpe_capacity(m, 1e-30) for m in range(1, 11)]) / 1e-30
+    assert np.all(np.abs(pie - 2.0 / LN2) <= 1e-14)

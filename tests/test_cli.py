@@ -111,6 +111,14 @@ class TestLimits:
                   "m_max": m_max}
         assert manifest == manifest_bytes("limits", params, None, payload)
 
+    def test_two_symbol_column_below_its_floor_usage_error(self, capsys):
+        # the other columns hold there; the two-symbol one would print a PIE far short
+        err = usage_error_line(capsys, ["limits", "--families", "holevo_bpsk,two_symbol",
+                                        "--nbar-min", "1e-300", "--nbar-max", "1e-20",
+                                        "--points", "2"])
+        assert err == ("error: the two-symbol curve holds only from nbar = 1e-20 up, "
+                       "got nbar = 1e-300\n")
+
     @pytest.mark.parametrize("argv", [["--nbar-min", "nan"], ["--m-max", "0"], ["--m-max", "11"]])
     def test_bad_input_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as excinfo:
@@ -235,6 +243,14 @@ class TestSuperchannel:
         assert code == 0
         _, rows = parse_csv(out)
         assert rows.shape == (3, 5) and np.all(np.isfinite(rows))
+
+    @pytest.mark.parametrize("receiver", ["structured", "mpe"])
+    def test_two_symbol_below_its_floor_usage_error(self, capsys, receiver):
+        err = usage_error_line(capsys, ["superchannel", "--family", "two_symbol",
+                                        "--receiver", receiver, "--nbar-min", "9e-21",
+                                        "--nbar-max", "1e-3", "--points", "3"])
+        assert err == ("error: the two-symbol curve holds only from nbar = 1e-20 up, "
+                       "got nbar = 9e-21\n")
 
     @pytest.mark.parametrize("family", ["hadamard_jdr", "rm_gm", "rm_mpe"])
     def test_m_out_of_range_usage_error(self, capsys, family):

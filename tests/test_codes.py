@@ -60,6 +60,16 @@ class TestHadamardCode:
         off = d[~np.eye(code.size, dtype=bool)]
         assert np.all(off == 2 ** (m - 1))
 
+    def test_codewords_are_the_sylvester_recursion_in_bits(self):
+        # H_{2k} = [[H_k, H_k], [H_k, -H_k]] with -1 -> 1, +1 -> 0, up to the CLI's m = 10
+        H = np.ones((1, 1), dtype=np.int8)
+        for m in range(1, 11):
+            H = np.block([[H, H], [H, -H]])
+            for with_ancilla in (True, False):
+                bits = codes.hadamard_code(m, with_ancilla).codewords
+                assert bits.dtype == np.uint8
+                assert np.array_equal(bits, (H < 0)[:, 0 if with_ancilla else 1:]), m
+
     def test_rows_distinct(self):
         code = codes.hadamard_code(4)
         assert len({row.tobytes() for row in code.codewords}) == code.size

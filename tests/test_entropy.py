@@ -1,54 +1,10 @@
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from jdrcap.entropy import LN2, binary_entropy, phi, relative_entropy, xlog2
+from jdrcap.entropy import LN2, phi, relative_entropy, symmetric_split
 
 EPS = np.finfo(float).eps
-
-
-def test_xlog2_convention_at_zero():
-    assert xlog2(0.0) == 0.0
-
-
-def test_xlog2_rejects_negative():
-    with pytest.raises(ValueError):
-        xlog2(-0.1)
-
-
-@given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
-def test_xlog2_never_nan_on_unit_interval(x):
-    assert np.isfinite(xlog2(x))
-
-
-@given(st.floats(min_value=0.0, max_value=1.0))
-def test_binary_entropy_range_and_symmetry(q):
-    h = binary_entropy(q)
-    assert 0.0 <= h <= 1.0
-    assert h == pytest.approx(binary_entropy(1.0 - q), abs=1e-12)
-
-
-def test_binary_entropy_array_matches_scalar_calls_bitwise():
-    grid = np.concatenate([[0.0, 1.0], np.geomspace(1e-300, 1.0, 120),
-                           1.0 - np.geomspace(1e-16, 0.5, 40)])
-    whole = binary_entropy(grid)
-    per_point = [binary_entropy(q) for q in grid]
-    assert all(type(h) is float for h in per_point)
-    assert np.array_equal(whole, per_point)
-
-
-@pytest.mark.parametrize("q", [np.nan, -1e-300, np.array([0.5, np.nan])])
-def test_binary_entropy_rejects_outside_unit_interval(q):
-    with pytest.raises(ValueError):
-        binary_entropy(q)
-
-
-def test_binary_entropy_known_values():
-    assert binary_entropy(0.5) == pytest.approx(1.0, abs=1e-15)
-    assert binary_entropy(0.0) == 0.0
-    assert binary_entropy(1.0) == 0.0
 
 
 def test_phi_matches_mpmath_to_a_few_ulps():
@@ -67,6 +23,23 @@ def test_phi_matches_mpmath_to_a_few_ulps():
 
 def test_phi_of_a_scalar_is_a_float():
     assert type(phi(0.25)) is float and phi(-1.0) == 1.0 and phi(0.0) == 0.0
+
+
+def test_symmetric_split_matches_mpmath_to_a_few_ulps():
+    # 1 - H_b((1 - y)/2) as written, with digits to spare past its cancellation at small
+    # |y|: both signs from |y| = 1e-150, where the value ~ y^2/(2 ln 2) is still normal,
+    # to the ends y = +-1, where it is 1, and next to them
+    ends = 1.0 - np.geomspace(1e-16, 0.5, 40)
+    y = np.concatenate([[-1.0, 0.0, 1.0], np.geomspace(1e-150, 1.0, 200)[:-1], ends])
+    y = np.concatenate([y, -y])
+    want = []
+    for x in y:
+        with mp.workdps(40 + 2 * max(0, -int(np.log10(abs(x) or 1.0)))):
+            half = [(1 + s * mp.mpf(x)) / 2 for s in (1, -1)]
+            want.append(float(1 + sum(p * mp.log(p, 2) for p in half if p > 0)))
+    assert np.all(np.abs(symmetric_split(y) - want) <= 2 * EPS * np.array(want))
+    assert symmetric_split(1.0) == symmetric_split(-1.0) == 1.0
+    assert type(symmetric_split(0.25)) is float and symmetric_split(0.0) == 0.0
 
 
 def test_relative_entropy_matches_the_log_ratio_sum():

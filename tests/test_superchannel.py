@@ -12,7 +12,7 @@ from jdrcap.capacity_limits import (
     rm_mpe_capacity,
 )
 from jdrcap.dmc import ConvergenceError, DiscreteChannel
-from jdrcap.entropy import LN2, binary_entropy
+from jdrcap.entropy import LN2
 from jdrcap.optics_sim import rm_gm_jdr_channel, two_symbol_receiver_channel
 
 from oracles import bec_capacity, bsc_capacity, mutual_information_direct
@@ -117,7 +117,7 @@ class TestBlahutArimoto:
             sc.capacity_blahut_arimoto(z)
         err = excinfo.value
         assert err.lower is not None and err.upper is not None
-        cap_z = np.log2(1.0 + 2.0 ** (-binary_entropy(0.5) / 0.5))  # known closed form
+        cap_z = np.log2(1.0 + 2.0 ** (-1.0 / 0.5))  # known closed form, H_b(1/2) = 1
         assert err.lower <= cap_z <= err.upper + 1e-12
 
 
@@ -214,6 +214,13 @@ class TestTwoSymbolRatioCurve:
         i2, c1 = sc.two_symbol_ratio_curve([1e-10, 1e-12, 1e-16, 1e-20], receiver)
         ratio = i2 / c1
         assert np.all(np.abs(ratio[1:] - ratio[0]) <= 1e-6)
+
+    @pytest.mark.parametrize("receiver", ["structured", "mpe"])
+    def test_refuses_a_grid_below_its_floor(self, receiver):
+        # one double under 1e-20 is refused, wherever it sits in the grid
+        below = np.nextafter(sc.TWO_SYMBOL_FLOOR, 0.0)
+        with pytest.raises(ValueError, match=r"holds only from nbar = 1e-20 up"):
+            sc.two_symbol_ratio_curve([1e-3, below, 0.1], receiver)
 
     def test_mpe_where_the_states_nearly_merge(self):
         nbar = 1e-6
