@@ -7,8 +7,8 @@ bytes. Reruns with an identical manifest produce byte-identical output.
 Exit codes: 0 success, 2 usage error (an option argparse rejects, any
 ValueError, or an ``--out`` that cannot be written, checked before any
 work is done, printed as one ``error: <message>`` line), 3 numerical failure
-(any ArithmeticError: a solver that did not converge, a failed consistency
-or row-sum check; printed as one ``numerical failure: <message>`` line).
+(any ArithmeticError: a solver that did not converge or a failed consistency
+check; printed as one ``numerical failure: <message>`` line).
 """
 
 import argparse

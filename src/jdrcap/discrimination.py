@@ -221,31 +221,16 @@ def _walsh_srm_rows(spectrum):
     return (t * t)[i[:, None] ^ i]
 
 
-def _stochastic_rows(rows):
-    """Remove eigendecomposition round-off; reject genuine stochasticity defects.
-
-    Row i of the weighted SRM carries an absolute error of about eps times
-    the largest eigenvalue of D G D, divided by w_i; heavily skewed weights
-    (p_i^2 t_i in the MPE iteration) therefore show up as ~1e-10 row-sum
-    round-off. Real completeness bugs are orders of magnitude larger than
-    the 1e-8 allowed here.
-    """
-    rows = np.clip(rows, 0.0, None)
-    sums = rows.sum(axis=1, keepdims=True)
-    worst = float(np.max(np.abs(sums - 1.0)))
-    if worst > 1e-8:
-        raise ArithmeticError(f"measurement rows sum to 1 +- {worst}, beyond 1e-8")
-    return rows / sums
-
-
 def srm_channel(ensemble):
     """Transition matrix of the square-root measurement, the weighted SRM at w = p.
 
     With Ghat_ij = sqrt(p_i p_j) G_ij, P(j|i) = (Ghat^{1/2})_ij^2 / p_i;
     zero-prior rows are uniform. The rows are the ensemble's ``srm_rows``,
-    which ``mpe_solve`` starts from too.
+    which ``mpe_solve`` starts from too, each divided by its own sum to
+    remove the eigendecomposition's round-off.
     """
-    return DiscreteChannel(_stochastic_rows(ensemble.srm_rows))
+    rows = ensemble.srm_rows
+    return DiscreteChannel(rows / rows.sum(axis=1, keepdims=True))
 
 
 def helstrom_binary(overlap_sq, p1, p2):
@@ -286,8 +271,11 @@ def mpe_solve(ensemble):
     sqrt(tol).)
     Where the states nearly coincide, F carries more round-off than that;
     each SRM row's deviation from unit sum measures it, and the bound is
-    widened by ROUNDOFF_MARGIN times that estimate. The success trace lists
-    each iterate's success that is at least every earlier one. Equal priors
+    widened by ROUNDOFF_MARGIN times that estimate. The iteration reads t
+    and that estimate from the raw rows; the channel it returns holds each
+    raw row divided by its own sum, since a row's round-off grows as its
+    weight shrinks. The success trace lists each iterate's success that is
+    at least every earlier one. Equal priors
     on a geometrically uniform ensemble stop at once: the SRM is the fixed
     point. Raises ConvergenceError, with the MpeResult of the best-success
     iterate as ``best``, if no iterate stops within MPE_MAX_ITER steps.
@@ -295,7 +283,7 @@ def mpe_solve(ensemble):
     gram, p = ensemble.gram, ensemble.priors
     p2 = p * p
     w = p
-    best, best_w, trace = -np.inf, w, []
+    best, best_rows, trace = -np.inf, ensemble.srm_rows, []
     for it in range(MPE_MAX_ITER + 1):
         rows = _srm_rows(gram, w) if it else ensemble.srm_rows
         t = np.diagonal(rows)
@@ -304,7 +292,7 @@ def mpe_solve(ensemble):
         r = f - w
         success = (p * t).sum()
         if success >= best:
-            best, best_w = success, w
+            best, best_rows = success, rows
             trace.append(float(success))
         # each weight settles to tol, scaled down by its amplitude sqrt(w_i / max w) below
         # the largest weight, since a relative change of w_i is what moves the
@@ -314,8 +302,8 @@ def mpe_solve(ensemble):
         allow = MPE_TOL * np.sqrt(w / w.max()) + ROUNDOFF_MARGIN * f * noise
         if (np.abs(r) <= allow).all():
             # the iterate at which the residual stop fires, not the best-success one
-            return MpeResult(float(success), DiscreteChannel(_stochastic_rows(rows)), it,
-                             tuple(trace))
+            channel = DiscreteChannel(rows / rows.sum(axis=1, keepdims=True))
+            return MpeResult(float(success), channel, it, tuple(trace))
         step = f
         if it:
             # one Anderson (secant) step from the last two (w, F(w) - w) pairs; a zero
@@ -327,7 +315,7 @@ def mpe_solve(ensemble):
             if (mixed >= 0).all():
                 step = mixed
         w_prev, r_prev, w = w, r, step
-    channel = DiscreteChannel(_stochastic_rows(_srm_rows(gram, best_w)))
+    channel = DiscreteChannel(best_rows / best_rows.sum(axis=1, keepdims=True))
     raise ConvergenceError(f"MPE iteration did not reach tol={MPE_TOL} in {MPE_MAX_ITER} steps",
                            best=MpeResult(float(best), channel, MPE_MAX_ITER, tuple(trace)))
 

@@ -22,23 +22,6 @@ class ConvergenceError(ArithmeticError):
         self.upper = upper
 
 
-def check_rows(p):
-    """Transition rows along the last axis of ``p``, clipped to >= 0.
-
-    ``p`` may be one (I, O) matrix or a stack (..., I, O); every entry must
-    be >= NEG_ENTRY_TOL and every row must sum to 1 within ROW_SUM_TOL,
-    else ValueError.
-    """
-    # written so that a NaN entry fails both checks
-    if not np.all(p >= NEG_ENTRY_TOL):
-        raise ValueError("negative or NaN transition probability")
-    rows = p.sum(axis=-1)
-    if not np.all(np.abs(rows - 1.0) <= ROW_SUM_TOL):
-        worst = float(np.max(np.abs(rows - 1.0)))
-        raise ValueError(f"rows must sum to 1 within {ROW_SUM_TOL}, worst off by {worst}")
-    return np.clip(p, 0.0, None)
-
-
 def check_priors(priors, n):
     """``priors`` as a float array; ValueError unless it holds n entries, each
     >= 0, that sum to 1 within PRIOR_SUM_TOL (so NaN fails)."""
@@ -54,8 +37,11 @@ def check_priors(priors, n):
 class DiscreteChannel:
     """Row-stochastic transition matrix ``p[i, j]`` = P(output j | input i).
 
-    An erasure is an ordinary output column, never merged or randomly
-    resolved here.
+    The matrix must be 2-D, every entry >= NEG_ENTRY_TOL and every row must
+    sum to 1 within ROW_SUM_TOL, else ValueError; entries are then clipped
+    to >= 0. This is the package's one row rule, checked here, where a
+    channel is made. An erasure is an ordinary output column, never merged
+    or randomly resolved here.
     """
 
     p: np.ndarray = field(repr=False)
@@ -64,7 +50,14 @@ class DiscreteChannel:
         p = np.asarray(self.p, dtype=float)
         if p.ndim != 2:
             raise ValueError(f"transition matrix must be 2-D, got shape {p.shape}")
-        p = check_rows(p)
+        # written so that a NaN entry fails both checks
+        if not np.all(p >= NEG_ENTRY_TOL):
+            raise ValueError("negative or NaN transition probability")
+        off = np.abs(p.sum(axis=1) - 1.0)
+        if not np.all(off <= ROW_SUM_TOL):
+            raise ValueError(f"rows must sum to 1 within {ROW_SUM_TOL}, "
+                             f"worst off by {float(np.max(off))}")
+        p = np.clip(p, 0.0, None)
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
 

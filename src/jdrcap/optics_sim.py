@@ -53,7 +53,8 @@ def _two_symbol_rows(nbar):
     with probability 1 - q on a plus pulse and q on a minus pulse, q the
     Dolinar error at energy 2 nbar; vacuum is invariant under the sign flip
     that swaps its equal-prior hypotheses, so it decides "+" with
-    probability 1/2. Outputs are SPD click/no-click x DR +/-.
+    probability 1/2. Outputs are SPD click/no-click x DR +/-, so each row is
+    a product of two distributions and sums to 1 by construction.
     """
     nbar = _photons(nbar)
     amps = two_symbol_code().amplitudes(np.sqrt(nbar)[..., None, None])

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import discrimination, optics_sim
 from .capacity_limits import _photons, c1_bpsk_dolinar, closed_form
-from .dmc import ConvergenceError, check_priors, check_rows
+from .dmc import ConvergenceError, check_priors
 from .entropy import relative_entropy
 
 BA_TOL = 1e-12              # Blahut-Arimoto stop: width of the capacity bracket
@@ -125,15 +125,19 @@ def two_symbol_ratio_curve(nbar_grid, receiver="structured"):
     the measurement is re-optimized for each prior, in its one-angle form,
     before the mutual information is evaluated. One prior scan covers the
     whole grid: each of its steps is one array computation over every nbar.
-    The grid must be 1-D, nonempty and no lower than TWO_SYMBOL_FLOOR.
-    Returns the arrays (i2, c1), aligned with the grid; the ratio is i2 / c1.
+    The grid must be 1-D, nonempty, finite and no lower than
+    TWO_SYMBOL_FLOOR. On such a grid both receivers' rows are stochastic by
+    construction, so they go unchecked here. Returns the arrays (i2, c1),
+    aligned with the grid; the ratio is i2 / c1.
     """
     nbar_grid = _curve_grid(nbar_grid)
-    if nbar_grid.min() < TWO_SYMBOL_FLOOR:
+    # at nbar = inf the beam splitter would form inf - inf
+    bad = nbar_grid[(nbar_grid < TWO_SYMBOL_FLOOR) | (nbar_grid == np.inf)]
+    if bad.size:
         raise ValueError(f"the two-symbol curve holds only from nbar = {TWO_SYMBOL_FLOOR:g} "
-                         f"up, got nbar = {nbar_grid.min():g}")
+                         f"up, got nbar = {bad.min():g}")
     if receiver == "structured":
-        structured = check_rows(optics_sim._two_symbol_rows(nbar_grid))[:, None]
+        structured = optics_sim._two_symbol_rows(nbar_grid)[:, None]
 
         def channels(p):
             return structured
@@ -141,7 +145,7 @@ def two_symbol_ratio_curve(nbar_grid, receiver="structured"):
     elif receiver == "mpe":
 
         def channels(p):
-            return check_rows(discrimination._two_symbol_mpe_rows(nbar_grid[:, None], p))
+            return discrimination._two_symbol_mpe_rows(nbar_grid[:, None], p)
 
     else:
         raise ValueError(f"unknown receiver {receiver!r}; use 'structured' or 'mpe'")

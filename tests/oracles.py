@@ -3,7 +3,8 @@
 Everything here recomputes expected values along a different route from the
 package implementation (dense matrices, exhaustive enumeration, fixed-order
 quadrature, closed forms, high-precision mpmath), so agreement is evidence
-rather than tautology.
+rather than tautology. The module imports nothing from the package: codebooks
+come from their definition and q from mpmath.
 """
 
 import math
@@ -12,7 +13,28 @@ import mpmath as mp
 import numpy as np
 from scipy.stats import binom
 
-from jdrcap.capacity_limits import dolinar_error_q
+
+def sylvester(m):
+    """The 2^m x 2^m Sylvester-Hadamard matrix as the m-th Kronecker power of
+    [[1, 1], [1, -1]], in int8."""
+    H = np.array([[1]], dtype=np.int8)
+    for _ in range(m):
+        H = np.kron(H, np.array([[1, 1], [1, -1]], dtype=np.int8))
+    return H
+
+
+def hadamard_codewords(m):
+    """The (2^m - 1, 2^m) Hadamard codebook as 0/1 rows: the rows of sylvester(m)
+    mapped +1 -> 0, -1 -> 1, with the constant first coordinate deleted."""
+    return ((1 - sylvester(m)[:, 1:]) // 2).astype(np.uint8)
+
+
+def dolinar_q_mp(nbar, dps=40):
+    """The Helstrom/Dolinar error [1 - sqrt(1 - e^{-4n})]/2 at ``dps`` digits, as a
+    float, from its cancellation-free form e^{-4n} / (2 [1 + sqrt(1 - e^{-4n})])."""
+    with mp.workdps(dps):
+        n = mp.mpf(nbar)
+        return float(mp.exp(-4 * n) / (2 * (1 + mp.sqrt(-mp.expm1(-4 * n)))))
 
 
 def dense_walsh(v):
@@ -22,11 +44,7 @@ def dense_walsh(v):
     v = np.asarray(v)
     if np.iscomplexobj(v):
         return dense_walsh(v.real) + 1j * dense_walsh(v.imag)
-    n = v.shape[-1]
-    m = n.bit_length() - 1
-    H = np.array([[1]], dtype=np.int8)
-    for _ in range(m):
-        H = np.block([[H, H], [H, -H]])
+    H = sylvester(v.shape[-1].bit_length() - 1)
     return v.astype(float) @ H.astype(float)  # H is symmetric
 
 
@@ -228,21 +246,19 @@ def exhaustive_dr_ber(m, nbar):
     Enumerates every flip pattern of the (2^m - 1)-symbol block, weighting by
     the BSC(q) probabilities; feasible for m <= 4.
     """
-    from jdrcap.codes import hadamard_code
-
-    code = hadamard_code(m, with_ancilla=False)
-    n, K = code.n, code.size
+    codewords = hadamard_codewords(m)
+    K, n = codewords.shape
     if n > 16:
         raise ValueError("exhaustive enumeration is for m <= 4")
-    q = dolinar_error_q(nbar)
+    q = dolinar_q_mp(nbar)
     patterns = np.arange(2 ** n, dtype=np.uint32)
     bits = ((patterns[:, None] >> np.arange(n)) & 1).astype(np.uint8)
     weight = bits.sum(axis=1)
     probs = q ** weight * (1.0 - q) ** (n - weight)
     total = 0.0
     for k in range(K):
-        received = code.codewords[k] ^ bits
-        dist = np.count_nonzero(received[:, None, :] != code.codewords[None, :, :], axis=2)
+        received = codewords[k] ^ bits
+        dist = np.count_nonzero(received[:, None, :] != codewords[None, :, :], axis=2)
         decoded = np.argmin(dist, axis=1)
         wrong_bits = np.bitwise_count(np.uint32(k) ^ decoded.astype(np.uint32))
         total += np.dot(probs, wrong_bits) / m
@@ -261,12 +277,10 @@ def plain_dr_ber_bit_errors(m, nbar, trials, seed, chunk=50000):
     order as ``ber_sim.hadamard_dr_ber``, no byte views, no blocks and no
     FWHT.
     """
-    from jdrcap.codes import hadamard_code
-
-    code = hadamard_code(m, with_ancilla=False)
-    codewords, K, n = code.codewords, code.size, code.n
+    codewords = hadamard_codewords(m)
+    K, n = codewords.shape
     signs = (1.0 - 2.0 * codewords.T).astype(np.float32)
-    t = 256.0 * dolinar_error_q(nbar)
+    t = 256.0 * dolinar_q_mp(nbar)
     k = math.floor(t)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed)))
     ties_rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(0,)))
@@ -299,7 +313,7 @@ def dr_ber_lower_bound(m, nbar):
     binomial expressions. Used where the plain Monte Carlo estimator has no
     statistical power left.
     """
-    q = dolinar_error_q(nbar)
+    q = dolinar_q_mp(nbar)
     d = 2 ** (m - 1)
     rivals = 2 ** m - 1
     p_single = binom.sf(d // 2, d, q)  # strictly more than d/2 of d flipped
@@ -309,3 +323,30 @@ def dr_ber_lower_bound(m, nbar):
     p_pair = float(np.dot(binom.pmf(x, shared, q), tail_given_x ** 2))
     p_block = rivals * p_single - 0.5 * rivals * (rivals - 1) * p_pair
     return max(p_block, 0.0) / m
+
+
+def mpe_dual_bound(gram, priors, weights):
+    """An upper bound on the minimum-error success of the pure states with Gram
+    ``gram`` and ``priors``, from the SRM weighted by ``weights`` (Yuen, Kennedy
+    & Lax, IEEE Trans. Inf. Theory 21, 1975; Eldar, Megretski & Verghese, IEEE
+    Trans. Inf. Theory 49, 2003).
+
+    The states are the columns psi_i of R = G^{1/2}, from one eigh of G. The
+    weighted SRM's vectors mu_j are the rows of the polar factor U V^T of
+    D R = U Sigma V^T, D = diag(sqrt w), from one SVD: no eigendecomposition of
+    D G D and no division by a weight, the package's route. Any Z with
+    Z >= p_j psi_j psi_j^T for every j has tr Z at least the optimal success.
+    Z = sym sum_i p_i psi_i psi_i^T mu_i mu_i^T has trace the measurement's
+    success, and s Z meets every constraint once s >= p_j psi_j^T Z^{-1} psi_j,
+    so max(s, 1) tr Z is the bound; Z^{-1} comes through one Cholesky.
+    """
+    lam, V = np.linalg.eigh(gram)
+    R = (V * np.sqrt(np.clip(lam, 0.0, None))) @ V.T
+    U, _, Vt = np.linalg.svd(np.sqrt(weights)[:, None] * R)
+    mu = U @ Vt
+    amplitude = np.einsum("ki,ik->i", R, mu)
+    Z = (R * (priors * amplitude)) @ mu
+    Z = (Z + Z.T) / 2.0
+    X = np.linalg.solve(np.linalg.cholesky(Z), R)
+    s = float(np.max(priors * (X * X).sum(axis=0)))
+    return max(s, 1.0) * float(np.trace(Z))

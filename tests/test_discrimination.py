@@ -10,7 +10,7 @@ from jdrcap.capacity_limits import dolinar_error_q, rm_mpe_capacity
 from jdrcap.codes import fwht, hadamard_code, rm1_code, two_symbol_code
 from jdrcap.superchannel import mutual_information
 
-from oracles import rm_mpe_mp, two_symbol_mpe_mp
+from oracles import mpe_dual_bound, rm_mpe_mp, two_symbol_mpe_mp
 
 
 def binary_ensemble(overlap, p1):
@@ -287,14 +287,16 @@ class TestSharedSrmRows:
     @pytest.mark.parametrize("seed", [None, 0, 1])
     def test_channel_is_the_uncached_srm_bit_for_bit(self, seed):
         ens = shuffled_rm1(3, 0.1) if seed is None else self.weighted_rm1(3, 0.1, seed)
-        fresh = disc._stochastic_rows(disc._srm_rows(ens.gram, ens.priors))
+        rows = disc._srm_rows(ens.gram, ens.priors)
+        fresh = rows / rows.sum(axis=1, keepdims=True)
         assert np.array_equal(disc.srm_channel(ens).p, fresh)
         # the second call reads the rows that the first one cached
         assert np.array_equal(disc.srm_channel(ens).p, fresh)
 
     def test_uniform_code_channel_is_the_spectrum_srm_bit_for_bit(self):
         ens = disc.gram_from_code(rm1_code(3), 0.1)
-        fresh = disc._stochastic_rows(disc._walsh_srm_rows(ens.spectrum))
+        rows = disc._walsh_srm_rows(ens.spectrum)
+        fresh = rows / rows.sum(axis=1, keepdims=True)
         assert np.array_equal(disc.srm_channel(ens).p, fresh)
         assert np.array_equal(disc.srm_channel(ens).p, fresh)
 
@@ -424,19 +426,21 @@ class TestMpeSolve:
 
     @pytest.mark.parametrize("nbar", [1e-6, 3e-6, 1e-3])
     def test_rows_sum_to_one_as_states_merge(self, monkeypatch, nbar):
-        # the rows before renormalisation, over the two-symbol prior scan grid
+        # the raw rows of every iterate, before any division by their sums, over the
+        # two-symbol prior scan grid
         sums = []
-        normalise = disc._stochastic_rows
+        srm_rows = disc._srm_rows
 
-        def record(rows):
+        def record(gram, w):
+            rows = srm_rows(gram, w)
             sums.append(rows.sum(axis=-1))
-            return normalise(rows)
+            return rows
 
-        monkeypatch.setattr(disc, "_stochastic_rows", record)
+        monkeypatch.setattr(disc, "_srm_rows", record)
         gram = disc.gram_from_code(two_symbol_code(), nbar).gram
         for p in np.linspace(0.0, 0.5, 33):
             disc.mpe_solve(disc.PureStateEnsemble(gram=gram, priors=np.array([1 - 2 * p, p, p])))
-        assert len(sums) == 33
+        assert len(sums) > 33
         assert np.max(np.abs(np.array(sums) - 1.0)) < 1e-10
 
     @pytest.mark.parametrize("nbar", [1e-6, 1e-5, 1e-3, 0.1, 2.0])
@@ -451,6 +455,17 @@ class TestMpeSolve:
         expected = float(two_symbol_mpe_mp(nbar, p))
         rel = abs(mutual_information(result.channel, priors) / expected - 1.0)
         assert rel <= (1e-9 if nbar < 1e-5 else 1e-10)
+
+    # the early stop: at nbar = 1e-6 and p in (1/3, 0.4) the round-off allowance of the
+    # residual fires first, and the MI is 2.3e-7, 1.6e-6 and 4.8e-6 relative off
+    @pytest.mark.xfail(strict=True, reason="mpe_solve stops early as the states merge")
+    @pytest.mark.parametrize("p", [0.36, 0.375, 0.390625])
+    def test_two_symbol_mutual_information_in_the_early_stop_window(self, p):
+        priors = np.array([1 - 2 * p, p, p])
+        gram = disc.gram_from_code(two_symbol_code(), 1e-6).gram
+        result = disc.mpe_solve(disc.PureStateEnsemble(gram=gram, priors=priors))
+        expected = float(two_symbol_mpe_mp(1e-6, p))
+        assert abs(mutual_information(result.channel, priors) / expected - 1.0) <= 1e-10
 
     def test_max_iter_exhaustion_reports_best(self, monkeypatch):
         from jdrcap.dmc import ConvergenceError
@@ -506,6 +521,25 @@ class TestMpeSolveOnTheTwoSymbolScan:
         best = excinfo.value.best
         assert best.iterations == 3
         assert srm_success(ens.gram, ens.priors) - 1e-12 <= best.success_probability <= 1.0
+
+
+class TestMpeSolveOnDirichletPriors:
+    """Random priors on RM(1,m) codes, down to a smallest prior of 5.9e-9 (m = 7,
+    seed 5), where the raw rows of the weighted SRM sum to 1 only within 8e-6
+    to 6e-5."""
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_returns_between_the_srm_and_the_dual_bound(self, m, seed):
+        for nbar in (0.01, 0.1, 1.0):
+            gram = disc.gram_from_code(rm1_code(m), nbar).gram
+            priors = np.random.default_rng(seed).dirichlet(np.ones(len(gram)))
+            result = disc.mpe_solve(disc.PureStateEnsemble(gram=gram, priors=priors))
+            success = result.success_probability
+            # the bound takes the measurement at the weights F(w) = p^2 t of the result
+            weights = priors ** 2 * np.diagonal(result.channel.p)
+            assert success >= srm_success(gram, priors) - 1e-12
+            assert abs(mpe_dual_bound(gram, priors, weights) - success) <= 1e-10
 
 
 def stationary_success(nbar, p):
@@ -594,13 +628,6 @@ class TestEnsembleValidation:
     def test_rejects_mismatched_shapes(self, gram, priors, message):
         with pytest.raises(ValueError, match=message):
             disc.PureStateEnsemble(gram=gram, priors=np.array(priors))
-
-    def test_stochastic_rows_refuse_more_than_round_off(self):
-        rows = np.array([[0.5, 0.5 + 5e-9], [0.0, 1.0]])
-        assert disc._stochastic_rows(rows).sum(axis=1).tolist() == [1.0, 1.0]
-        rows[0, 1] += 1e-8
-        with pytest.raises(ArithmeticError, match="beyond 1e-8"):
-            disc._stochastic_rows(rows)
 
     @pytest.mark.parametrize("priors", [[np.nan, 1.0], [np.nan, np.nan]])
     def test_rejects_nan_priors(self, priors):

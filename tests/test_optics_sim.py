@@ -166,6 +166,13 @@ class TestTwoSymbolReceiverChannel:
             ch = opt.two_symbol_receiver_channel(nbar)
             assert np.allclose(ch.p.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_grid_rows_sum_to_one(self):
+        # the two-symbol curve takes these rows unchecked
+        grid = np.concatenate([[0.0], np.geomspace(1e-300, 1e3, 301)])
+        rows = opt._two_symbol_rows(grid)
+        assert rows.shape == (302, 3, 4) and np.all(rows >= 0)
+        assert np.max(np.abs(rows.sum(axis=-1) - 1.0)) <= 4 * np.finfo(float).eps
+
     def test_grid_rows_match_per_point_channel_bit_for_bit(self):
         grid = np.concatenate([[0.0], np.geomspace(1e-6, 10.0, 59)])
         rows = opt._two_symbol_rows(grid)

@@ -222,6 +222,12 @@ class TestTwoSymbolRatioCurve:
         with pytest.raises(ValueError, match=r"holds only from nbar = 1e-20 up"):
             sc.two_symbol_ratio_curve([1e-3, below, 0.1], receiver)
 
+    @pytest.mark.parametrize("receiver", ["structured", "mpe"])
+    def test_refuses_an_infinite_nbar(self, receiver):
+        # the beam splitter would form inf - inf; the MPE rows used to give log2(3)/2
+        with pytest.raises(ValueError, match=r"holds only from nbar = 1e-20 up, got nbar = inf"):
+            sc.two_symbol_ratio_curve([1e-3, np.inf], receiver)
+
     def test_mpe_where_the_states_nearly_merge(self):
         nbar = 1e-6
         (i2,), _ = sc.two_symbol_ratio_curve([nbar], "mpe")
@@ -273,6 +279,16 @@ class TestChannelValidation:
     def test_rejects_nan_entries(self, p):
         with pytest.raises(ValueError):
             DiscreteChannel(np.array(p))
+
+    def test_row_rule_bounds(self):
+        # the package's one row rule: sums within ROW_SUM_TOL, entries >= NEG_ENTRY_TOL,
+        # then clipped to >= 0
+        ch = DiscreteChannel(np.array([[0.5, 0.5 + 5e-13], [-1e-16, 1.0]]))
+        assert ch.p[1, 0] == 0.0
+        with pytest.raises(ValueError, match="within 1e-12"):
+            DiscreteChannel(np.array([[0.5, 0.5 + 2e-12]]))
+        with pytest.raises(ValueError, match="negative"):
+            DiscreteChannel(np.array([[-1e-14, 1.0 + 1e-14]]))
 
     @pytest.mark.parametrize("p", [np.array([0.5, 0.5]), np.full((2, 2, 2), 0.5)])
     def test_rejects_non_matrix(self, p):
