@@ -48,9 +48,13 @@ from .entropy import _float_or_array
 # every seeded estimate.
 _CHUNK = 50000
 # Trials x 2^m per block: the decode's float32 transform of a block is then
-# 256 KiB. It only sets how many of a chunk's trials are flipped and decoded
-# at a time, rounded down to a multiple of 8, and can change freely.
-_BLOCK_FLOATS = 1 << 16
+# 512 KiB (512 trials at m = 8), half of a 1 MiB L2 per core. Twice that is
+# a cliff: glibc trims each freed 1 MiB transform and faults it back in,
+# about 97,000 minor faults and +67% time per 200000-trial point at m = 8,
+# against none at this size, which stays 2x below it. It only sets how many
+# of a chunk's trials are flipped and decoded at a time, rounded down to a
+# multiple of 8, and can change freely.
+_BLOCK_FLOATS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -116,10 +120,11 @@ def hadamard_dr_ber(m, nbar, trials, seed):
     rng = np.random.default_rng(seeds)
     tie_bits = np.random.default_rng(seeds.spawn(1)[0]).bit_generator
     bit_errors = 0
-    # the block buffers are allocated once per call: with fresh arrays per
-    # block, the freed blocks crossed the allocator's trim threshold, and
-    # every block page-faulted its memory in again. The pilot column 0 of
-    # flips stays False.
+    # the flips buffer is allocated once per call and the decode's arrays
+    # once per block: at _BLOCK_FLOATS, half of L2 and 2x below the
+    # allocator's trim cliff, the freed arrays are reused with no minor
+    # fault, against about 97,000 per point at twice the size. The pilot
+    # column 0 of flips stays False.
     flips = np.zeros((rows, K), dtype=bool)
     for start in range(0, trials, _CHUNK):
         msg = rng.integers(0, K, size=min(_CHUNK, trials - start))
@@ -131,6 +136,8 @@ def hadamard_dr_ber(m, nbar, trials, seed):
             # row leads with its pilot); ties come in trial-major order, as the contract says
             t = np.flatnonzero(symbols == k)
             flips[:size].reshape(-1)[t + t // n + 1] = tie_bits.random_raw(t.size) < cut
+            # the raw bytes are dead once the flips are set: free them before the decode
+            del symbols, t
             received = _pack_rows(flips[:size])
             received ^= np.take(codewords, block, axis=0)
             decoded = _argmin_decode(received, K)

@@ -92,8 +92,12 @@ def holevo_bpsk(nbar):
 
 
 def dolinar_error_q(nbar):
-    """Helstrom/Dolinar BPSK error probability [1 - sqrt(1 - e^{-4 nbar})]/2."""
-    return _float_or_array(0.5 * (1.0 - np.sqrt(-np.expm1(-4.0 * _photons(nbar)))))
+    """Helstrom/Dolinar BPSK error probability [1 - sqrt(1 - e^{-4 nbar})]/2,
+    as e^{-4 nbar} / (2 [1 + sqrt(1 - e^{-4 nbar})]), which does not cancel
+    as q -> 0: q is within an ulp while e^{-4 nbar} is a normal float
+    (nbar below about 177)."""
+    n = _photons(nbar)
+    return _float_or_array(np.exp(-4.0 * n) / (2.0 * (1.0 + np.sqrt(-np.expm1(-4.0 * n)))))
 
 
 def c1_bpsk_dolinar(nbar):

@@ -25,6 +25,11 @@ class TestUncodedBpsk:
         bers = ber_sim.uncoded_bpsk_ber(np.geomspace(1e-3, 1.0, 15))
         assert np.all(np.diff(bers) < 0)
 
+    def test_positive_where_the_subtraction_form_is_zero(self):
+        # in doubles, (1 - sqrt(1 - e^{-4n})) / 2 is exactly 0 from nbar ~ 9.2 on
+        assert ber_sim.uncoded_bpsk_ber(10.0) > 0
+        assert np.all(np.diff(ber_sim.uncoded_bpsk_ber(np.geomspace(1.0, 10.0, 15))) < 0)
+
 
 class TestHadamardDrBer:
     def test_noiseless_regime(self):
@@ -74,6 +79,8 @@ class TestDrawOrderPinned:
     @pytest.mark.parametrize("m,nbar,trials,seed", [
         (8, 1e-300, 50001, 2 ** 63 + 5),
         (8, 0.05, 50001, 0),
+        # at m = 8 the last chunk is one whole block and then a one-trial block
+        (8, 0.03, ber_sim._CHUNK + ber_sim._BLOCK_FLOATS // 2 ** 8 + 1, 4),
         (10, 1e-3, 10001, 3),
         (4, 0.15, 123457, 11),
         (3, 50.0, 123457, 7),
@@ -84,8 +91,12 @@ class TestDrawOrderPinned:
         pt = ber_sim.hadamard_dr_ber(m, nbar, trials, seed)
         assert pt.bit_errors == plain_dr_ber_bit_errors(m, nbar, trials, seed)
 
-    # 8 * n is 120, 24, 56 and 2040: no block size is a multiple of it
-    @pytest.mark.parametrize("m,block_floats", [(4, 100), (2, 1), (3, 200), (8, 5000)])
+    # 8 * n is 120, 24, 56 and 2040: no block size is a multiple of it; at
+    # m = 8, a small block, the default and twice the default
+    @pytest.mark.parametrize("m,block_floats", [
+        (4, 100), (2, 1), (3, 200), (8, 5000),
+        (8, ber_sim._BLOCK_FLOATS), (8, 2 * ber_sim._BLOCK_FLOATS),
+    ])
     def test_block_size_does_not_move_the_estimate(self, monkeypatch, m, block_floats):
         monkeypatch.setattr(ber_sim, "_BLOCK_FLOATS", block_floats)
         pt = ber_sim.hadamard_dr_ber(m, 0.05, 10007, 5)
