@@ -15,6 +15,7 @@ from .capacity_limits import (
     rm_gm_jdr_capacity,
     rm_mpe_capacity,
     tradeoff_curve,
+    two_symbol_structured_capacity,
 )
 from .codes import BinaryCode, fwht, hadamard_code, ml_decode_hard, rm1_code, two_symbol_code
 from .discrimination import (

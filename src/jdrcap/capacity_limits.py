@@ -109,6 +109,24 @@ def c1_bpsk_dolinar(nbar):
     return symmetric_split(np.sqrt(-np.expm1(-4.0 * _photons(nbar))))
 
 
+def two_symbol_structured_capacity(nbar):
+    """I2 in bits/symbol of the (2,3,1) code on the structured receiver (Guha, PRL 106, 2011).
+
+    Only |aa> makes the sum port's SPD click, with c = 1 - e^{-2 nbar}, and a
+    click's sign is uniform, so at prior r on |aa> the MI is H_b(r c) - r H_b(c)
+    + (1 - r) C1(2 nbar), C1 the difference port's Dolinar BSC. Its maximum over
+    r, with H_b(c) ln 2 = 2 nbar e^{-2 nbar} - c ln c, is 2 I2 = C1(2 nbar) +
+    log2(1 + c 2^{-mu}), mu = [C1(2 nbar) + 2 nbar e^{-2 nbar} / ln 2] / c, where
+    nothing cancels: 0 at nbar = 0, (1 + 1/(2 e^3)) C1(nbar) as nbar -> 0 and
+    log2(3)/2 at nbar = inf.
+    """
+    n = _photons(nbar)
+    c, c1 = -np.expm1(-2.0 * n), c1_bpsk_dolinar(2.0 * n)
+    x = 2.0 * np.minimum(n, 400.0)      # x e^{-x} is 0 from x = 746 on; inf * 0 is NaN
+    mu = (c1 + x * np.exp(-x) / LN2) / np.where(c > 0, c, 1.0)
+    return _float_or_array((c1 + np.log1p(c * np.exp2(-mu)) / LN2) / 2.0)
+
+
 # 16-node Gauss-Legendre rule on [0, 1], as the squared nodes t^2 and the weights:
 # f_integral's integrands are analytic near [0, 1], so the rule converges geometrically
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)

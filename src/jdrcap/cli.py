@@ -125,7 +125,7 @@ LIMIT_COLUMNS = {
     "hadamard_envelope":
         lambda grid, ms: capacity_limits.pie_envelope(grid, "hadamard_jdr", ms)[1],
     "rm_gm_envelope": lambda grid, ms: capacity_limits.pie_envelope(grid, "rm_gm", ms)[1],
-    "two_symbol": lambda grid, ms: superchannel.two_symbol_ratio_curve(grid)[0] / grid,
+    "two_symbol": lambda grid, ms: capacity_limits.two_symbol_structured_capacity(grid) / grid,
 }
 
 

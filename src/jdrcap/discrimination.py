@@ -234,11 +234,12 @@ def srm_channel(ensemble):
 
 
 def helstrom_binary(overlap_sq, p1, p2):
-    """Minimum error probability for two pure states: (1 - sqrt(1 - 4 p1 p2 s^2))/2."""
+    """Minimum error probability for two pure states, (1 - sqrt(1 - 4 p1 p2 s^2))/2,
+    as 2 p1 p2 s^2 / (1 + sqrt(1 - 4 p1 p2 s^2)), which does not cancel as s -> 0."""
     if not 0.0 <= overlap_sq <= 1.0:
         raise ValueError(f"overlap^2 must be in [0,1], got {overlap_sq}")
     check_priors((p1, p2), 2)
-    return 0.5 * (1.0 - np.sqrt(1.0 - 4.0 * p1 * p2 * overlap_sq))
+    return 2.0 * p1 * p2 * overlap_sq / (1.0 + np.sqrt(1.0 - 4.0 * p1 * p2 * overlap_sq))
 
 
 def mpe_solve(ensemble):

@@ -3,8 +3,7 @@
 Simulates the linear-optics front ends (beam splitters, the Green Machine
 butterfly) acting on mode amplitudes, ideal single-photon detectors, and the
 Dolinar receiver's outcome statistics, and assembles the transition matrices
-of the joint-detection receivers; the two-symbol receiver's rows come for a
-whole nbar array at once.
+of the joint-detection receivers.
 
 Amplitudes are in sqrt(photon) units: |a|^2 is the mean photon number of a
 mode. SPDs are ideal (unit efficiency, no dark counts). The beam-splitter
@@ -44,8 +43,8 @@ def spd_click_prob(a):
     return -np.expm1(-abs(a) ** 2)
 
 
-def _two_symbol_rows(nbar):
-    """Transition rows (..., 3, 4) of the two-symbol receiver at each nbar.
+def two_symbol_receiver_channel(nbar):
+    """Transition matrix of the two-symbol joint receiver at one nbar: 3 inputs x 4 outputs.
 
     The two symbol modes of each (2,3,1) codeword interfere on a 50-50 beam
     splitter; an SPD watches the sum port and a Dolinar receiver set up for
@@ -57,21 +56,13 @@ def _two_symbol_rows(nbar):
     a product of two distributions and sums to 1 by construction.
     """
     nbar = _photons(nbar)
-    amps = two_symbol_code().amplitudes(np.sqrt(nbar)[..., None, None])
-    sum_port, diff_port = beam_splitter(amps[..., 0], amps[..., 1])
+    amps = two_symbol_code().amplitudes(np.sqrt(nbar))
+    sum_port, diff_port = beam_splitter(amps[:, 0], amps[:, 1])
     click = spd_click_prob(sum_port)
-    q = np.asarray(dolinar_error_q(2.0 * nbar))[..., None]
+    q = dolinar_error_q(2.0 * nbar)
     plus = np.where(diff_port > 0, 1.0 - q, np.where(diff_port < 0, q, 0.5))
-    return np.stack([click * plus, click * (1 - plus),
-                     (1 - click) * plus, (1 - click) * (1 - plus)], axis=-1)
-
-
-def two_symbol_receiver_channel(nbar):
-    """Transition matrix of the two-symbol joint receiver at one nbar.
-
-    3 inputs x 4 outputs (SPD click/no-click x DR +/-); see _two_symbol_rows.
-    """
-    return DiscreteChannel(_two_symbol_rows(nbar))
+    return DiscreteChannel(np.column_stack([click * plus, click * (1 - plus),
+                                            (1 - click) * plus, (1 - click) * (1 - plus)]))
 
 
 def _first_click_rows(click_probs):

@@ -3,23 +3,24 @@
 The inner code plus its joint-detection receiver induce a discrete
 memoryless channel; everything downstream (curves, envelopes, the
 two-symbol capacity ratios) is classical Shannon theory on that channel.
-A two-symbol ratio curve is one lockstep computation: the prior scan
+The structured two-symbol receiver's I2 is a closed form; the MPE
+receiver's ratio curve is one lockstep computation: the prior scan
 maximizes every nbar of the grid at once, and each of its steps evaluates
-the mutual information (and, for the MPE receiver, the measurement's
-one-angle form) for the whole grid in one stacked array call.
+the measurement's one-angle form and the mutual information for the whole
+grid in one stacked array call.
 """
 
 import numpy as np
 
-from . import discrimination, optics_sim
-from .capacity_limits import _photons, c1_bpsk_dolinar, closed_form
+from . import discrimination
+from .capacity_limits import _photons, c1_bpsk_dolinar, closed_form, two_symbol_structured_capacity
 from .dmc import ConvergenceError, check_priors
 from .entropy import relative_entropy
 
 BA_TOL = 1e-12              # Blahut-Arimoto stop: width of the capacity bracket
 BA_MAX_ITER = 100000
-# below this nbar the two-symbol rows near 1 cannot hold their deviations from the
-# no-click outcome, and I2 falls silently short, so a grid reaching under it is refused
+# below this nbar the MPE receiver's one-angle rows near 1 cannot hold their deviations,
+# and I2 falls silently short, so an MPE grid reaching under it is refused
 TWO_SYMBOL_FLOOR = 1e-20
 
 
@@ -112,46 +113,31 @@ def _curve_grid(nbar_grid):
     return nbar_grid
 
 
-def _prior_family(p):
-    """The two-symbol priors (1-2p, p, p) along a new last axis."""
-    return np.stack([1.0 - 2.0 * p, p, p], axis=-1)
-
-
 def two_symbol_ratio_curve(nbar_grid, receiver="structured"):
     """I2 and C1 of the two-symbol superadditivity ratio I2/C1 along a grid.
 
     I2 is the best per-symbol mutual information of the (2,3,1)
-    superchannel over the prior family (1-2p, p, p); for the MPE receiver
-    the measurement is re-optimized for each prior, in its one-angle form,
-    before the mutual information is evaluated. One prior scan covers the
-    whole grid: each of its steps is one array computation over every nbar.
-    The grid must be 1-D, nonempty, finite and no lower than
-    TWO_SYMBOL_FLOOR. On such a grid both receivers' rows are stochastic by
-    construction, so they go unchecked here. Returns the arrays (i2, c1),
-    aligned with the grid; the ratio is i2 / c1.
+    superchannel over the prior family (1-2p, p, p). The structured
+    receiver's is the closed form two_symbol_structured_capacity. For the
+    MPE receiver the measurement is re-optimized for each prior, in its
+    one-angle form, before the mutual information is evaluated; one prior
+    scan covers the whole grid, each of its steps one array computation over
+    every nbar, and the grid may reach no lower than TWO_SYMBOL_FLOOR. The
+    grid must be 1-D and nonempty. Returns the arrays (i2, c1), aligned with
+    the grid; the ratio is i2 / c1.
     """
     nbar_grid = _curve_grid(nbar_grid)
-    # at nbar = inf the beam splitter would form inf - inf
-    bad = nbar_grid[(nbar_grid < TWO_SYMBOL_FLOOR) | (nbar_grid == np.inf)]
-    if bad.size:
-        raise ValueError(f"the two-symbol curve holds only from nbar = {TWO_SYMBOL_FLOOR:g} "
-                         f"up, got nbar = {bad.min():g}")
     if receiver == "structured":
-        structured = optics_sim._two_symbol_rows(nbar_grid)[:, None]
-
-        def channels(p):
-            return structured
-
-    elif receiver == "mpe":
-
-        def channels(p):
-            return discrimination._two_symbol_mpe_rows(nbar_grid[:, None], p)
-
-    else:
+        return two_symbol_structured_capacity(nbar_grid), c1_bpsk_dolinar(nbar_grid)
+    if receiver != "mpe":
         raise ValueError(f"unknown receiver {receiver!r}; use 'structured' or 'mpe'")
+    if nbar_grid.min() < TWO_SYMBOL_FLOOR:
+        raise ValueError(f"the two-symbol curve holds only from nbar = {TWO_SYMBOL_FLOOR:g} "
+                         f"up, got nbar = {nbar_grid.min():g}")
 
     def value(p):
-        return _mutual_information(channels(p), _prior_family(p)) / 2.0
+        rows = discrimination._two_symbol_mpe_rows(nbar_grid[:, None], p)
+        return _mutual_information(rows, np.stack([1.0 - 2.0 * p, p, p], axis=-1)) / 2.0
 
     _, i2 = prior_scan_max(value)
     return i2, c1_bpsk_dolinar(nbar_grid)

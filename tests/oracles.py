@@ -204,6 +204,52 @@ def two_symbol_mpe_mp(nbar, p, dps=50):
                        for i in range(3) for j in range(3) if r[i] > 0 and P[i][j] > 0)
 
 
+def two_symbol_structured_mp(nbar, steps=60):
+    """I2 of the (2,3,1) code on the structured receiver, in mpmath: a golden-section
+    maximization over p of half the MI at priors (1-2p, p, p), as written.
+
+    The rows come from their definition: the codewords (a, a), (a, -a), (-a, a),
+    a = sqrt(nbar), meet on a 50-50 beam splitter; the SPD on the sum port
+    clicks with 1 - e^{-|sum|^2}, and the Dolinar receiver on the difference
+    port errs with [1 - sqrt(1 - e^{-4 |diff|^2})]/2 and guesses on vacuum.
+    The MI is concave in p, so golden section holds; 60 steps leave a bracket
+    of 1e-13, a value error of about 1e-26 relative. The precision, 40 digits
+    plus -log10(nbar), holds 40 past the cancellation of the MI's O(1) terms.
+    Shares nothing with the package's closed form.
+    """
+    with mp.workdps(40 + max(0, int(-math.log10(nbar)))):
+        a = mp.sqrt(mp.mpf(nbar))
+        rows = []
+        for x, y in ((a, a), (a, -a), (-a, a)):
+            total, diff = (x + y) / mp.sqrt(2), (x - y) / mp.sqrt(2)
+            click = 1 - mp.exp(-total ** 2)
+            q = (1 - mp.sqrt(1 - mp.exp(-4 * diff ** 2))) / 2
+            plus = mp.mpf(1) / 2 if diff == 0 else (1 - q if diff > 0 else q)
+            rows.append((click * plus, click * (1 - plus), (1 - click) * plus,
+                         (1 - click) * (1 - plus)))
+
+        def half_mi(p):
+            r = (1 - 2 * p, p, p)
+            out = [mp.fsum(r[i] * rows[i][j] for i in range(3)) for j in range(4)]
+            return mp.fsum(r[i] * P * mp.log(P / out[j], 2) for i in range(3)
+                           for j, P in enumerate(rows[i]) if r[i] > 0 and P > 0) / 2
+
+        lo, hi = mp.mpf(0), mp.mpf(1) / 2
+        shrink = (mp.sqrt(5) - 1) / 2
+        c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+        fc, fd = half_mi(c), half_mi(d)
+        for _ in range(steps):
+            if fc >= fd:
+                hi, d, fd = d, c, fc
+                c = hi - shrink * (hi - lo)
+                fc = half_mi(c)
+            else:
+                lo, c, fc = c, d, fd
+                d = lo + shrink * (hi - lo)
+                fd = half_mi(d)
+        return max(fc, fd)
+
+
 def bsc_capacity(q, dps=40):
     """1 - H_b(q) in bits, as written, at ``dps`` digits."""
     with mp.workdps(dps):

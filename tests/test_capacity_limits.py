@@ -21,6 +21,7 @@ from oracles import (
     holevo_bpsk_mp,
     rm_gm_mp,
     rm_mpe_mp,
+    two_symbol_structured_mp,
 )
 
 # high-precision scalar recomputations (mpmath, 40 digits) frozen for the tests
@@ -49,6 +50,7 @@ ARRAY_CLOSED_FORMS = pytest.mark.parametrize("fn,grid", [
         (cl.holevo_bpsk, NBAR_ALL),
         (cl.dolinar_error_q, NBAR_ALL),
         (cl.c1_bpsk_dolinar, NBAR_ALL),
+        (cl.two_symbol_structured_capacity, NBAR_ALL),
         (cl.f_integral, NBAR_ALL),
         (partial(cl.hadamard_jdr_capacity, 7), NBAR_ALL),
         (partial(cl.rm_gm_outcome_probs, 7), NBAR_ALL),
@@ -263,6 +265,38 @@ class TestC1Dolinar:
             bsc = DiscreteChannel(np.array([[1 - q, q], [q, 1 - q]]))
             cap, _ = capacity_blahut_arimoto(bsc)
             assert cl.c1_bpsk_dolinar(nbar) == pytest.approx(cap, abs=1e-9)
+
+
+class TestTwoSymbolStructuredCapacity:
+    def test_ends(self):
+        assert cl.two_symbol_structured_capacity(0.0) == 0.0
+        at_inf, half_log2_3 = cl.two_symbol_structured_capacity(np.inf), float(mp.log(3, 2) / 2)
+        assert abs(at_inf - half_log2_3) <= 4 * EPS * half_log2_3
+
+    def test_matches_mpmath_maximization_from_1e_minus_300_to_400(self):
+        # the oracle maximizes the MI of rows built from their definition over p
+        for n in np.geomspace(1e-300, 400.0, 31):
+            got, want = cl.two_symbol_structured_capacity(n), two_symbol_structured_mp(n)
+            assert abs(got - want) <= 4 * EPS * want, n
+
+    def test_matches_a_prior_scan_over_the_physical_channel(self):
+        # the float route the curve used to take: prior_scan_max over the MI of the
+        # channel that optics_sim simulates, at priors (1-2p, p, p)
+        from jdrcap.optics_sim import two_symbol_receiver_channel
+        from jdrcap.superchannel import _mutual_information, prior_scan_max
+        for n in (1e-6, 1e-3, 0.05, 0.3, 1.0, 2.0, 10.0):
+            rows = two_symbol_receiver_channel(n).p
+            _, (scanned,) = prior_scan_max(lambda p, rows=rows: _mutual_information(
+                rows, np.stack([1 - 2 * p, p, p], axis=-1)) / 2)
+            closed = cl.two_symbol_structured_capacity(n)
+            assert abs(closed - scanned) <= 2e-13 * closed, n
+
+    def test_ratio_is_the_papers_limit_from_1e_minus_20_to_1e_minus_300(self):
+        # at small nbar I2 / C1 -> 1 + 1/(2 e^3) = 1.0248935..., the structured receiver's gain
+        limit = float(1 + 1 / (2 * mp.e ** 3))
+        nbar = np.geomspace(1e-300, 1e-20, 29)
+        ratio = cl.two_symbol_structured_capacity(nbar) / cl.c1_bpsk_dolinar(nbar)
+        assert np.all(np.abs(ratio - limit) <= 4 * EPS * limit)
 
 
 class TestFIntegral:
@@ -501,8 +535,8 @@ def test_every_bpsk_capacity_lies_below_the_bpsk_holevo_bound_from_1e_minus_300(
     nbar = np.geomspace(1e-300, 1e3, 241)
     holevo = cl.holevo_bpsk(nbar)
     assert np.all(holevo <= cl.g(nbar))
-    caps = [cl.c1_bpsk_dolinar(nbar)] + [cap(m, nbar) for cap in cl.CLOSED_FORMS.values()
-                                         for m in range(1, 11)]
+    caps = [cl.c1_bpsk_dolinar(nbar), cl.two_symbol_structured_capacity(nbar)]
+    caps += [cap(m, nbar) for cap in cl.CLOSED_FORMS.values() for m in range(1, 11)]
     for cap in caps:
         assert np.all(np.isfinite(cap) & (cap >= 0.0) & (cap <= (1.0 + 8 * EPS) * holevo))
     pie = np.array([cl.rm_mpe_capacity(m, 1e-30) for m in range(1, 11)]) / 1e-30

@@ -16,6 +16,10 @@ from hypothesis import strategies as st
 import jdrcap
 from jdrcap import cli
 
+from oracles import two_symbol_structured_mp
+
+EPS = np.finfo(float).eps
+
 
 def run(capsys, argv):
     code = cli.main(argv)
@@ -111,13 +115,18 @@ class TestLimits:
                   "m_max": m_max}
         assert manifest == manifest_bytes("limits", params, None, payload)
 
-    def test_two_symbol_column_below_its_floor_usage_error(self, capsys):
-        # the other columns hold there; the two-symbol one would print a PIE far short
-        err = usage_error_line(capsys, ["limits", "--families", "holevo_bpsk,two_symbol",
-                                        "--nbar-min", "1e-300", "--nbar-max", "1e-20",
-                                        "--points", "2"])
-        assert err == ("error: the two-symbol curve holds only from nbar = 1e-20 up, "
-                       "got nbar = 1e-300\n")
+    def test_two_symbol_column_from_1e_minus_300(self, capsys):
+        # the prior scan over the channel rows printed a PIE of 0.531 at 1e-300, far short
+        # of 2.957; the closed form holds there, against the mpmath maximization
+        code, out, _ = run(capsys, ["limits", "--families", "holevo_bpsk,two_symbol",
+                                    "--nbar-min", "1e-300", "--nbar-max", "1e-20",
+                                    "--points", "2"])
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header == ["nbar", "holevo_bpsk", "two_symbol"]
+        for nbar, _, pie in rows:
+            want = two_symbol_structured_mp(nbar) / nbar
+            assert abs(pie - want) <= 4 * EPS * want, nbar
 
     @pytest.mark.parametrize("argv", [["--nbar-min", "nan"], ["--m-max", "0"], ["--m-max", "11"]])
     def test_bad_input_usage_error(self, capsys, argv):
@@ -244,13 +253,23 @@ class TestSuperchannel:
         _, rows = parse_csv(out)
         assert rows.shape == (3, 5) and np.all(np.isfinite(rows))
 
-    @pytest.mark.parametrize("receiver", ["structured", "mpe"])
-    def test_two_symbol_below_its_floor_usage_error(self, capsys, receiver):
+    def test_two_symbol_below_its_floor_usage_error(self, capsys):
         err = usage_error_line(capsys, ["superchannel", "--family", "two_symbol",
-                                        "--receiver", receiver, "--nbar-min", "9e-21",
+                                        "--receiver", "mpe", "--nbar-min", "9e-21",
                                         "--nbar-max", "1e-3", "--points", "3"])
         assert err == ("error: the two-symbol curve holds only from nbar = 1e-20 up, "
                        "got nbar = 9e-21\n")
+
+    def test_two_symbol_structured_below_the_mpe_floor(self, capsys):
+        code, out, _ = run(capsys, ["superchannel", "--family", "two_symbol",
+                                    "--nbar-min", "9e-21", "--nbar-max", "1e-3",
+                                    "--points", "3"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        for nbar, bits, pie, c1, ratio in rows:
+            want = two_symbol_structured_mp(nbar)
+            assert abs(bits - want) <= 4 * EPS * want, nbar
+            assert pie == bits / nbar and ratio == bits / c1
 
     @pytest.mark.parametrize("family", ["hadamard_jdr", "rm_gm", "rm_mpe"])
     def test_m_out_of_range_usage_error(self, capsys, family):

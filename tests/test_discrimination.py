@@ -1,5 +1,6 @@
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -370,6 +371,17 @@ class TestHelstromBinary:
         for nbar in (1e-3, 0.1, 1.0):
             assert disc.helstrom_binary(np.exp(-4 * nbar), 0.5, 0.5) == pytest.approx(
                 dolinar_error_q(nbar), abs=1e-15)
+
+    @pytest.mark.parametrize("p1,p2", [(0.5, 0.5), (0.25, 0.75), (0.1, 0.9), (1e-3, 0.999)])
+    def test_matches_mpmath_from_nearly_orthogonal_to_equal_states(self, p1, p2):
+        # the form as written, at 700 digits: 1 - sqrt(1 - 4 p1 p2 s^2) cancels in
+        # double, 1.3e-8 off at s^2 = 1e-8 and 0 at 1e-20, where the package's does not
+        for overlap_sq in np.concatenate([np.geomspace(1e-300, 1.0, 61), [0.3, 0.9]]):
+            with mp.workdps(700):
+                x = 4 * mp.mpf(p1) * mp.mpf(p2) * mp.mpf(overlap_sq)
+                want = float((1 - mp.sqrt(1 - x)) / 2)
+            got = disc.helstrom_binary(overlap_sq, p1, p2)
+            assert abs(got - want) <= 2 * np.finfo(float).eps * want, overlap_sq
 
     def test_rejects_bad_domain(self):
         with pytest.raises(ValueError):

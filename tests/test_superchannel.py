@@ -1,5 +1,6 @@
 import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -15,7 +16,14 @@ from jdrcap.dmc import ConvergenceError, DiscreteChannel
 from jdrcap.entropy import LN2
 from jdrcap.optics_sim import rm_gm_jdr_channel, two_symbol_receiver_channel
 
-from oracles import bec_capacity, bsc_capacity, mutual_information_direct
+from oracles import (
+    bec_capacity,
+    bsc_capacity,
+    mutual_information_direct,
+    two_symbol_structured_mp,
+)
+
+EPS = np.finfo(float).eps
 
 
 def bsc(q):
@@ -215,18 +223,28 @@ class TestTwoSymbolRatioCurve:
         ratio = i2 / c1
         assert np.all(np.abs(ratio[1:] - ratio[0]) <= 1e-6)
 
-    @pytest.mark.parametrize("receiver", ["structured", "mpe"])
-    def test_refuses_a_grid_below_its_floor(self, receiver):
+    def test_refuses_a_grid_below_its_floor(self):
         # one double under 1e-20 is refused, wherever it sits in the grid
         below = np.nextafter(sc.TWO_SYMBOL_FLOOR, 0.0)
         with pytest.raises(ValueError, match=r"holds only from nbar = 1e-20 up"):
-            sc.two_symbol_ratio_curve([1e-3, below, 0.1], receiver)
+            sc.two_symbol_ratio_curve([1e-3, below, 0.1], "mpe")
+
+    def test_structured_holds_below_the_mpe_floor(self):
+        # the closed form has no floor: the grid the MPE receiver refuses, against the
+        # mpmath maximization over the rows built from their definition
+        grid = [1e-3, np.nextafter(sc.TWO_SYMBOL_FLOOR, 0.0), 0.1]
+        i2, c1 = sc.two_symbol_ratio_curve(grid, "structured")
+        for nbar, got in zip(grid, i2, strict=True):
+            want = two_symbol_structured_mp(nbar)
+            assert abs(got - want) <= 4 * EPS * want, nbar
+        assert np.array_equal(c1, c1_bpsk_dolinar(np.array(grid)))
 
     @pytest.mark.parametrize("receiver", ["structured", "mpe"])
-    def test_refuses_an_infinite_nbar(self, receiver):
-        # the beam splitter would form inf - inf; the MPE rows used to give log2(3)/2
-        with pytest.raises(ValueError, match=r"holds only from nbar = 1e-20 up, got nbar = inf"):
-            sc.two_symbol_ratio_curve([1e-3, np.inf], receiver)
+    def test_infinite_nbar_gives_half_log2_3(self, receiver):
+        # the three codewords are then orthogonal, and the best priors are uniform
+        half_log2_3 = float(mp.log(3, 2) / 2)
+        i2, c1 = sc.two_symbol_ratio_curve([1e-3, np.inf], receiver)
+        assert abs(i2[1] - half_log2_3) <= 2 * EPS * half_log2_3 and c1[1] == 1.0
 
     def test_mpe_where_the_states_nearly_merge(self):
         nbar = 1e-6
