@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity_limits import _photons, dolinar_error_q
+from .capacity_limits import _held, dolinar_error_q
 from .codes import _argmin_decode, _pack_rows, code_order, hadamard_code
 from .entropy import _float_or_array
 
@@ -156,4 +156,4 @@ def hadamard_jdr_ber(m, nbar):
     popcount(i ^ j) is m/2, so the guess gets half the bits wrong and the
     BER is e^{-2^m nbar} / 2. A scalar nbar gives a float, an array an array.
     """
-    return _float_or_array(0.5 * np.exp(-(2 ** code_order(m)) * _photons(nbar)))
+    return _float_or_array(0.5 * np.exp(-(2 ** code_order(m)) * _held(nbar)))

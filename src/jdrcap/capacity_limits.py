@@ -30,6 +30,14 @@ def _photons(x, strict=False):
     return x
 
 
+def _held(nbar):
+    """_photons(nbar) held at 400, for the forms that take nbar in through
+    e^{-k nbar}, k >= 2: e^{-800} is 0 in double, so nothing at or below 400
+    moves by a bit, and k nbar neither overflows near the largest double nor
+    forms inf * 0 at inf."""
+    return np.minimum(_photons(nbar), 400.0)
+
+
 def g(nbar):
     """Holevo capacity of a lossless bosonic mode, (1+n)log2(1+n) - n log2(n) bits.
 
@@ -87,7 +95,7 @@ def holevo_bpsk(nbar):
     With (1-q) ln(1-q) = phi(-q) - q, H_b(q) ln 2 = [q - phi(-q)] - q ln q,
     two terms >= 0 for q <= 1/2; at q = 1/2 they round to ln 2 exactly.
     """
-    q = -np.expm1(-2.0 * _photons(nbar)) / 2.0
+    q = -np.expm1(-2.0 * _held(nbar)) / 2.0
     return _float_or_array((q - phi(-q) - q * np.log(np.where(q > 0, q, 1.0))) / LN2)
 
 
@@ -96,7 +104,7 @@ def dolinar_error_q(nbar):
     as e^{-4 nbar} / (2 [1 + sqrt(1 - e^{-4 nbar})]), which does not cancel
     as q -> 0: q is within an ulp while e^{-4 nbar} is a normal float
     (nbar below about 177)."""
-    n = _photons(nbar)
+    n = _held(nbar)
     return _float_or_array(np.exp(-4.0 * n) / (2.0 * (1.0 + np.sqrt(-np.expm1(-4.0 * n)))))
 
 
@@ -106,7 +114,7 @@ def c1_bpsk_dolinar(nbar):
     q = (1 - x)/2 with x = sqrt(1 - e^{-4 nbar}), so C1 = symmetric_split(x),
     which does not cancel as q -> 1/2 and is exactly 1 at x = 1.
     """
-    return symmetric_split(np.sqrt(-np.expm1(-4.0 * _photons(nbar))))
+    return symmetric_split(np.sqrt(-np.expm1(-4.0 * _held(nbar))))
 
 
 def two_symbol_structured_capacity(nbar):
@@ -120,9 +128,8 @@ def two_symbol_structured_capacity(nbar):
     nothing cancels: 0 at nbar = 0, (1 + 1/(2 e^3)) C1(nbar) as nbar -> 0 and
     log2(3)/2 at nbar = inf.
     """
-    n = _photons(nbar)
-    c, c1 = -np.expm1(-2.0 * n), c1_bpsk_dolinar(2.0 * n)
-    x = 2.0 * np.minimum(n, 400.0)      # x e^{-x} is 0 from x = 746 on; inf * 0 is NaN
+    x = 2.0 * _held(nbar)
+    c, c1 = -np.expm1(-x), c1_bpsk_dolinar(x)
     mu = (c1 + x * np.exp(-x) / LN2) / np.where(c > 0, c, 1.0)
     return _float_or_array((c1 + np.log1p(c * np.exp2(-mu)) / LN2) / 2.0)
 
@@ -166,12 +173,12 @@ def hadamard_jdr_capacity(m, nbar):
     """
     m = code_order(m)
     n = 2 ** m
-    return _float_or_array((m / n) * -np.expm1(-n * _photons(nbar)))
+    return _float_or_array((m / n) * -np.expm1(-n * _held(nbar)))
 
 
 def _rm_gm_pulse(m, nbar):
     """(nP, (1 - p0)/2, f(nP)) of the RM(1,m) receiver, nP = 2^m nbar; checks f <= (1-p0)/2."""
-    n_pulse = (2 ** code_order(m)) * _photons(nbar)
+    n_pulse = (2 ** code_order(m)) * _held(nbar)
     half = -np.expm1(-n_pulse) / 2.0
     f = f_integral(n_pulse)
     if np.any(half - f < -1e-12):
@@ -224,7 +231,7 @@ def rm_mpe_capacity(m, nbar):
     small nbar and (m+1)/2^m at large.
     """
     m = code_order(m)
-    n_pulse = (2 ** m) * _photons(nbar)
+    n_pulse = (2 ** m) * _held(nbar)
     K, root_k = 2 ** (m + 1), np.sqrt(2.0 ** (m + 1))
     e = -np.expm1(-n_pulse)
     d = -e * (K - e) / (np.sqrt(K * np.exp(-n_pulse) + e * e) + root_k)

@@ -81,7 +81,9 @@ def _check_out(path):
 def _log_grid(lo, hi, points, name):
     if not 0 < lo < hi:
         raise ValueError(f"need 0 < {name}-min < {name}-max")
-    return np.geomspace(lo, hi, points)
+    # geomspace overflows inside from hi ~ 1.8e308 on, then sets both ends exactly
+    with np.errstate(over="ignore"):
+        return np.geomspace(lo, hi, points)
 
 
 def _bounded(kind, ok, need):

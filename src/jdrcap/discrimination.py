@@ -12,12 +12,13 @@ channel is
 
 (Eldar & Forney, IEEE Trans. Inf. Theory 47, 2001). A linear code's Gram,
 such as a Hadamard or RM(1,m) code's, is XOR-invariant: G_ij = g_{i xor j},
-K = 2^k. Its eigenvalues are the Walsh transform of g, which proves it PSD,
-and at equal weights the SRM has the closed form (G^{1/2})_ij^2 with
+K = 2^k. Its eigenvalues are the Walsh transform of g, and at equal weights
+the SRM has the closed form (G^{1/2})_ij^2 with
 G^{1/2}_ij = fwht(sqrt(fwht g))_{i xor j} / K: O(K^2) work and no
-eigendecomposition. Any other Gram, or one the spectrum cannot prove PSD,
-is decided by its eigenvalues, and its SRM takes one eigendecomposition of
-What, as does any weighted SRM.
+eigendecomposition. Any other Gram takes its eigenvalues from eigvalsh, and
+its SRM takes one eigendecomposition of What, as does any weighted SRM.
+Either set of eigenvalues decides, once, whether the Gram is PSD to the
+clamp; the solvers then clamp negative eigenvalues to zero and check nothing.
 The SRM is the weighted SRM at w = priors; the minimum-probability-of-error
 (MPE) measurement is the weighted SRM at the weights that solve its
 optimality conditions (Mochon, Phys. Rev. A 73, 032328, 2006), found by
@@ -34,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .capacity_limits import _photons
+from .capacity_limits import _held
 from .codes import fwht
 from .dmc import ConvergenceError, DiscreteChannel, check_priors
 
@@ -45,7 +46,7 @@ MPE_MAX_ITER = 10000
 
 
 class NotPSDError(ValueError):
-    """Matrix eigenvalues fall below the PSD clamp threshold."""
+    """A Gram matrix's smallest eigenvalue is below -EIG_CLAMP_REL max(1, max |lambda|)."""
 
 
 def _xor_gram(G):
@@ -60,20 +61,6 @@ def _xor_gram(G):
     return xor if np.array_equal(xor, G) else None
 
 
-def _walsh_psd(spectrum, g):
-    """Whether the Walsh spectrum of the XOR-invariant Gram with first row g
-    proves it PSD to the clamp.
-
-    The transform multiplies by factors of H_K whose sizes add up to less
-    than 3 sqrt(K), so its round-off is below 3 sqrt(K) eps sum|g_j|
-    (Higham, ch. 3), about 2e-11 at K = 1024. If the smallest computed
-    eigenvalue less that bound is >= -EIG_CLAMP_REL, then lambda_min(G) >=
-    -EIG_CLAMP_REL max(1, lambda_max). Otherwise it proves nothing.
-    """
-    err = 3.0 * np.sqrt(len(g)) * np.finfo(float).eps * np.abs(g).sum()
-    return float(spectrum.min()) - err >= -EIG_CLAMP_REL
-
-
 @dataclass(frozen=True, eq=False)
 class PureStateEnsemble:
     """Gram matrix of codeword inner products plus prior probabilities.
@@ -81,12 +68,12 @@ class PureStateEnsemble:
     The Gram matrix is validated and symmetrised here, once, so the solvers
     below work on it without checking it again. Its entries must be finite,
     symmetric and 1 on the diagonal, each to within 1e-12 absolute. It must
-    have lambda_min >= -EIG_CLAMP_REL max(1, lambda_max), else NotPSDError.
-    An XOR-invariant Gram, G_ij = g_{i xor j} exactly with K = 2^k, is
-    symmetric as given; ``spectrum`` holds its eigenvalues, fwht(g), which
-    prove it PSD where they can (_walsh_psd). Every other ensemble has
-    ``spectrum`` None, and where no spectrum proves it the eigenvalues
-    decide.
+    have lambda_min >= -EIG_CLAMP_REL max(1, max |lambda|), else NotPSDError,
+    the one PSD rule: the solvers trust it and only clamp. An XOR-invariant
+    Gram, G_ij = g_{i xor j} exactly with K = 2^k, is symmetric as given;
+    ``spectrum`` holds its eigenvalues, fwht(g), and the rule reads them.
+    Every other ensemble has ``spectrum`` None, and the rule reads the
+    eigenvalues of eigvalsh.
 
     ``srm_rows``, the raw rows of the SRM at w = priors, are computed on
     first use, once per ensemble, and shared by ``srm_channel`` and the
@@ -111,15 +98,14 @@ class PureStateEnsemble:
         if not np.allclose(np.diag(G), 1.0, rtol=0, atol=1e-12):
             raise ValueError("Gram matrix must have unit diagonal")
         if xor is None:
-            G, spectrum, proved = 0.5 * (G + G.T), None, False
+            G, spectrum = 0.5 * (G + G.T), None
+            lam = np.linalg.eigvalsh(G)
         else:
             G, spectrum = xor, fwht(xor[0])
             spectrum.setflags(write=False)
-            proved = _walsh_psd(spectrum, G[0])
-        if not proved:
-            lam = np.linalg.eigvalsh(G)
-            if lam[0] < -EIG_CLAMP_REL * max(1.0, float(np.max(np.abs(lam)))):
-                raise NotPSDError(f"Gram matrix has eigenvalue {lam[0]}")
+            lam = spectrum
+        if lam.min() < -EIG_CLAMP_REL * max(1.0, float(np.max(np.abs(lam)))):
+            raise NotPSDError(f"Gram matrix has eigenvalue {lam.min()}")
         G.setflags(write=False)
         p = p.copy()
         p.setflags(write=False)
@@ -160,7 +146,7 @@ def gram_from_code(code, nbar):
     Two codewords at Hamming distance h have overlap e^{-2 nbar h}, the
     product of the per-symbol overlaps <alpha|-alpha> = e^{-2 nbar}.
     """
-    nbar = _photons(nbar).item()
+    nbar = _held(nbar).item()
     cw = code.codewords.astype(float)
     # d_ij = |c_i| + |c_j| - 2 <c_i, c_j> from one product, in O(K^2) memory; every
     # term is an integer at most 2n, so float64 holds each exactly
@@ -177,15 +163,11 @@ def sqrtm_psd(M):
     """Square root of a symmetric PSD matrix.
 
     Only the lower triangle is read, so M must already be symmetric.
-    Eigenvalues in [-tol, 0) are clamped to zero, where tol is 1e-10
-    relative to the largest eigenvalue; anything lower raises NotPSDError.
+    Negative eigenvalues are clamped to zero: D G D is PSD to the clamp
+    whenever G is, and PureStateEnsemble has decided that of G.
     """
     lam, U = np.linalg.eigh(M)
-    tol = EIG_CLAMP_REL * max(1.0, lam[-1])
-    if lam[0] < -tol:
-        raise NotPSDError(f"eigenvalue {lam[0]} below -{tol}")
-    lam = np.clip(lam, 0.0, None)
-    return (U * np.sqrt(lam)) @ U.T
+    return (U * np.sqrt(np.clip(lam, 0.0, None))) @ U.T
 
 
 def _srm_rows(gram, w):
@@ -211,8 +193,8 @@ def _walsh_srm_rows(spectrum):
     with eigenvalues ``spectrum`` = fwht(g).
 
     G = H diag(lambda) H / K, and H_ik H_jk = H_{i xor j, k}, so
-    G^{1/2}_ij = t_{i xor j} with t = fwht(sqrt(lambda)) / K. Eigenvalues in
-    [-tol, 0) are clamped to zero, as in sqrtm_psd. Row i sums to G_ii = 1
+    G^{1/2}_ij = t_{i xor j} with t = fwht(sqrt(lambda)) / K. Negative
+    eigenvalues are clamped to zero, as in sqrtm_psd. Row i sums to G_ii = 1
     up to round-off.
     """
     K = len(spectrum)
@@ -337,7 +319,8 @@ def _two_symbol_mpe_rows(nbar, p):
     t is the best of 16 fixed angles, refined by 6 Newton steps on S'. Row i
     holds the squared coordinates of state i in that basis, a unit vector's,
     so it sums to 1 by construction. Broadcasts over nbar and p. nbar goes
-    unchecked: the one caller, two_symbol_ratio_curve, has checked its grid.
+    unchecked: the one caller, two_symbol_ratio_curve, has checked its grid
+    and held it at 400 (capacity_limits._held).
     """
     s, c, p = np.broadcast_arrays(np.exp(-2.0 * nbar), np.sqrt(-np.expm1(-4.0 * nbar) / 2.0),
                                   np.asarray(p, dtype=float))

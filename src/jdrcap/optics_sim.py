@@ -13,7 +13,7 @@ here are real so no generality is lost.
 
 import numpy as np
 
-from .capacity_limits import _photons, dolinar_error_q, rm_gm_outcome_probs
+from .capacity_limits import _held, dolinar_error_q, rm_gm_outcome_probs
 from .codes import fwht, hadamard_code, rm1_code, two_symbol_code
 from .dmc import DiscreteChannel
 
@@ -55,7 +55,7 @@ def two_symbol_receiver_channel(nbar):
     probability 1/2. Outputs are SPD click/no-click x DR +/-, so each row is
     a product of two distributions and sums to 1 by construction.
     """
-    nbar = _photons(nbar)
+    nbar = _held(nbar)
     amps = two_symbol_code().amplitudes(np.sqrt(nbar))
     sum_port, diff_port = beam_splitter(amps[:, 0], amps[:, 1])
     click = spd_click_prob(sum_port)
@@ -86,7 +86,7 @@ def hadamard_jdr_channel(m, nbar):
     the whole codeword energy, so P(position k | codeword k) = 1 - e^{-2^m nbar}
     and the no-click outcome is the erasure.
     """
-    nbar = _photons(nbar)
+    nbar = _held(nbar)
     out = green_machine(hadamard_code(m, with_ancilla=True).amplitudes(np.sqrt(nbar)))
     pos_probs, erase = _first_click_rows(spd_click_prob(np.abs(out)))
     return DiscreteChannel(np.column_stack([pos_probs, erase]))

@@ -13,7 +13,8 @@ grid in one stacked array call.
 import numpy as np
 
 from . import discrimination
-from .capacity_limits import _photons, c1_bpsk_dolinar, closed_form, two_symbol_structured_capacity
+from .capacity_limits import (_held, _photons, c1_bpsk_dolinar, closed_form,
+                              two_symbol_structured_capacity)
 from .dmc import ConvergenceError, check_priors
 from .entropy import relative_entropy
 
@@ -134,9 +135,10 @@ def two_symbol_ratio_curve(nbar_grid, receiver="structured"):
     if nbar_grid.min() < TWO_SYMBOL_FLOOR:
         raise ValueError(f"the two-symbol curve holds only from nbar = {TWO_SYMBOL_FLOOR:g} "
                          f"up, got nbar = {nbar_grid.min():g}")
+    held = _held(nbar_grid)[:, None]
 
     def value(p):
-        rows = discrimination._two_symbol_mpe_rows(nbar_grid[:, None], p)
+        rows = discrimination._two_symbol_mpe_rows(held, p)
         return _mutual_information(rows, np.stack([1.0 - 2.0 * p, p, p], axis=-1)) / 2.0
 
     _, i2 = prior_scan_max(value)

@@ -521,7 +521,7 @@ class TestDeterminism:
 VALID_FLOATS = ("0.5", "1e-300", "1e-3", "2", "1e200", "1e300")
 EDGE_FLOATS = VALID_FLOATS * 3 + ("0", "-1", "nan", "inf", "-inf")
 VALID_RANGES = (("1e-3", "2"), ("1e-300", "1e-3"), ("1e-300", "1e300"), ("0.5", "1e300"),
-                ("2", "1e200"), ("1e200", "1e300"))
+                ("2", "1e200"), ("1e200", "1e300"), ("1e300", "1.7976931348623157e308"))
 EDGE_RANGES = VALID_RANGES * 3 + (("0", "1"), ("-1", "2"), ("nan", "1"), ("1", "inf"),
                                   ("-inf", "1"), ("2", "1e-3"), ("0.5", "0.5"))
 EDGE_POINTS = ("2", "3") * 3 + ("-1", "0", "1")

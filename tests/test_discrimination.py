@@ -143,8 +143,7 @@ def eigvalsh_rule(G):
 
 class TestPsdValidation:
     # lambda_min as a multiple of the clamp -EIG_CLAMP_REL max(1, lambda_max): in
-    # XOR order the Walsh spectrum decides above -EIG_CLAMP_REL (at lambda_max ~ 205
-    # only the first), the eigenvalues below it and in any other order
+    # XOR order the Walsh spectrum decides, in any other order eigvalsh's eigenvalues
     INSIDE = (-0.001, -0.25, -0.49, -0.51, -0.75, -0.99)
     OUTSIDE = (-1.01, -1.5, -1e3)
 
@@ -160,19 +159,27 @@ class TestPsdValidation:
                              ids=["lam_max~1", "lam_max~205"])
     @pytest.mark.parametrize("multiple", INSIDE + OUTSIDE)
     @pytest.mark.parametrize("order", ["xor", "shuffled"])
-    def test_decides_and_words_as_the_eigvalsh_rule(self, K, lam_max, multiple, order):
+    def test_decides_and_words_as_the_eigvalsh_rule(self, monkeypatch, K, lam_max, multiple,
+                                                    order):
         G = xor_gram(self.spectrum(K, lam_max, multiple))
         if order == "shuffled":
             G = shuffled(G)
         expected = eigvalsh_rule(G)
         assert (expected is None) == (multiple in self.INSIDE)
+        calls = counted(monkeypatch, "eigvalsh")["eigvalsh"]
         if expected is None:
             ens = disc.PureStateEnsemble(gram=G, priors=np.full(K, 1.0 / K))
             assert (ens.spectrum is None) == (order == "shuffled")
         else:
             with pytest.raises(disc.NotPSDError) as err:
                 disc.PureStateEnsemble(gram=G, priors=np.full(K, 1.0 / K))
+            if order == "xor":
+                # the same rule, read off the Walsh spectrum: lambda_min differs from
+                # eigvalsh's in its last digits only
+                expected = f"Gram matrix has eigenvalue {fwht(G[0]).min()}"
             assert str(err.value) == expected
+        # an XOR-invariant Gram is decided by its spectrum alone, accepted or refused
+        assert calls == ([] if order == "xor" else [K])
 
     @pytest.mark.parametrize("entry,psd", [(0.5, True), (1.5, False)])
     def test_other_grams_are_decided_by_the_eigenvalues(self, monkeypatch, entry, psd):
@@ -217,9 +224,10 @@ class TestSqrtmPsd:
         S = disc.sqrtm_psd(M)
         assert np.linalg.norm(S @ S - M, "fro") < 1e-10 * max(1, np.linalg.norm(M, "fro"))
 
-    def test_rejects_indefinite(self):
-        with pytest.raises(disc.NotPSDError):
-            disc.sqrtm_psd(np.diag([1.0, -0.5]))
+    def test_clamps_indefinite(self):
+        # the ensemble has decided the PSD rule; here negative eigenvalues only clamp
+        S = disc.sqrtm_psd(np.diag([1.0, -0.5]))
+        assert np.array_equal(S, np.diag([1.0, 0.0]))
 
 
 class TestSrmChannel:
@@ -314,9 +322,9 @@ SPECTRUM_NBARS = (1e-6, 1e-3, 0.01, 0.1, 1.0, 2.0)
 
 
 class TestWalshSpectrumRoute:
-    """An XOR-invariant Gram, G_ij = g_{i xor j} with K = 2^k, is proved PSD by
-    its Walsh spectrum, and at equal priors its SRM rows come from the
-    spectrum, with no eigendecomposition."""
+    """An XOR-invariant Gram, G_ij = g_{i xor j} with K = 2^k, takes its
+    eigenvalues from its Walsh spectrum, and at equal priors its SRM rows come
+    from the spectrum, with no eigendecomposition."""
 
     @pytest.mark.parametrize("family", [hadamard_code, rm1_code], ids=["hadamard", "rm1"])
     @pytest.mark.parametrize("m", CODE_ORDERS)
@@ -552,6 +560,31 @@ class TestMpeSolveOnDirichletPriors:
             weights = priors ** 2 * np.diagonal(result.channel.p)
             assert success >= srm_success(gram, priors) - 1e-12
             assert abs(mpe_dual_bound(gram, priors, weights) - success) <= 1e-10
+
+
+def slightly_indefinite_gram():
+    """K = 102: a 2 x 2 block with off-diagonal 1 + 9e-9 beside a 100 x 100 block
+    of 0.99. lambda_min = -9.0e-9 is within the 9.9e-9 that lambda_max ~ 99 allows
+    it, while a weighted D G D, with lambda_max below 1, would be allowed 1e-10."""
+    G = np.zeros((102, 102))
+    G[:2, :2] = 1.0 + 9e-9
+    G[2:, 2:] = 0.99
+    np.fill_diagonal(G, 1.0)
+    return G
+
+
+class TestSolversTrustTheEnsemble:
+    @pytest.mark.parametrize("priors", [
+        np.r_[0.5, 0.5, np.zeros(100)],
+        np.r_[0.49, 0.49, np.full(100, 0.0002)],
+        np.random.default_rng(5).dirichlet(np.ones(102)),
+    ], ids=["pair", "pair+rest", "dirichlet-seed5"])
+    def test_an_accepted_ensemble_is_solved(self, priors):
+        # no dual bound here: G is slightly indefinite and its Cholesky fails
+        ens = disc.PureStateEnsemble(gram=slightly_indefinite_gram(), priors=priors)
+        srm = (priors * np.diagonal(disc.srm_channel(ens).p)).sum()
+        success = disc.mpe_solve(ens).success_probability
+        assert srm - 1e-12 <= success <= 1.0
 
 
 def stationary_success(nbar, p):
