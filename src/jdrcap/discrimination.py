@@ -25,9 +25,9 @@ optimality conditions (Mochon, Phys. Rev. A 73, 032328, 2006), found by
 ``mpe_solve`` as the fixed point of a map on the weights, accelerated by
 Anderson mixing and stopped on the map's residual, so the measurement
 itself has converged, not just its success. The (2,3,1) code's MPE
-measurement has a one-angle form, which the two-symbol curve evaluates for
-a whole (nbar, prior) grid at once. The binary Helstrom bound is the
-closed-form reference.
+measurement has a one-angle form, which the two-symbol curve evaluates, as
+rows and their deviations, for a whole (nbar, prior) grid at once. The
+binary Helstrom bound is the closed-form reference.
 """
 
 from dataclasses import dataclass, field
@@ -304,7 +304,8 @@ def mpe_solve(ensemble):
 
 
 def _two_symbol_mpe_rows(nbar, p):
-    """Channel rows (..., 3, 3) of the (2,3,1) code's MPE measurement at priors (1-2p, p, p).
+    """The (2,3,1) code's MPE measurement at priors (1-2p, p, p): its channel
+    rows (..., 3, 3) and the deviations of row 2 from row 1, (..., 3).
 
     In an orthonormal frame of their span the states |aa>, |a,-a>, |-a,a>
     read (1, 0, 0) and (s, c, +-c), with s = e^{-2 nbar} and c^2 = (1 - s^2)/2.
@@ -316,33 +317,52 @@ def _two_symbol_mpe_rows(nbar, p):
 
         S(t) = (1-2p) cos^2 t + p (c cos t - s sin t + c)^2.
 
-    t is the best of 16 fixed angles, refined by 6 Newton steps on S'. Row i
-    holds the squared coordinates of state i in that basis, a unit vector's,
-    so it sums to 1 by construction. Broadcasts over nbar and p. nbar goes
-    unchecked: the one caller, two_symbol_ratio_curve, has checked its grid
-    and held it at 400 (capacity_limits._held).
+    t is the best of the 16 angles k pi/8, refined by 6 Newton steps on S'.
+    It is carried as e^{it} = e^{ik pi/8} e^{id}, an offset d from a table
+    exact at the multiples of pi/2: near pi/2, cos t = -sin d keeps every
+    digit, where a float t ~ 1.5708 leaves it an absolute eps. Row i holds the
+    squared coordinates of state i in that basis, so it sums to 1; row 1 is
+    (cos^2 t, sin^2 t / 2, sin^2 t / 2), and rows 2 and 3 take 1 -+ cos t as
+    sin^2 t / (1 +- cos t) where that does not cancel. As nbar -> 0 the rows
+    near 1/2 and near 1 cannot hold their O(c) differences, so those come
+    apart, with s^2 - 1 = -2 c^2, as the deviations
+
+        shared: c^2 (sin^2 t - 2 cos^2 t) + 2 s c sin t cos t,
+        right:  c (1 + cos t) [c (3 cos t - 1) - 2 s sin t] / 2,
+        wrong:  c (1 - cos t) [2 s sin t - c (3 cos t + 1)] / 2,
+
+    in that order; row 3's are right and wrong swapped. Broadcasts over nbar
+    and p. nbar goes unchecked: the one caller,
+    superchannel._two_symbol_mpe_information, takes the curve's grid checked
+    and held at 400 (capacity_limits._held).
     """
-    s, c, p = np.broadcast_arrays(np.exp(-2.0 * nbar), np.sqrt(-np.expm1(-4.0 * nbar) / 2.0),
-                                  np.asarray(p, dtype=float))
-    q = 1.0 - 2.0 * p
-    angles = np.arange(16) * (np.pi / 8)
-    g = c[..., None] * np.cos(angles) - s[..., None] * np.sin(angles) + c[..., None]
-    t = angles[np.argmax(q[..., None] * np.cos(angles) ** 2 + p[..., None] * g * g, axis=-1)]
+    nbar, p = np.asarray(nbar, dtype=float), np.asarray(p, dtype=float)
+    c2 = -np.expm1(-4.0 * nbar) / 2.0
+    s, c, q = np.exp(-2.0 * nbar), np.sqrt(c2), 1.0 - 2.0 * p
+    # e^{i k pi/8} for k = 4j + m as i^j e^{i m pi/8}: exact at the multiples of pi/2
+    grid = np.outer([1.0, 1j, -1.0, -1j], np.exp(1j * np.pi / 8 * np.arange(4))).ravel()
+    g = c[..., None] * grid.real - s[..., None] * grid.imag + c[..., None]
+    best = grid[np.argmax(q[..., None] * grid.real ** 2 + p[..., None] * g * g, axis=-1)]
+    # (c + i s) e^{it} = x + i y: x = c cos t - s sin t, y = c sin t + s cos t
+    state, z, d = c + 1j * s, best, 0.0
     for _ in range(6):
-        cos, sin = np.cos(t), np.sin(t)
-        g = c * cos - s * sin + c
-        dg = -c * sin - s * cos
-        slope = -2.0 * q * sin * cos + 2.0 * p * g * dg
-        curvature = -2.0 * q * (cos * cos - sin * sin) + 2.0 * p * (dg * dg - g * (g - c))
+        w, twice = state * z, z * z
+        g, y = w.real + c, w.imag
+        slope = q * twice.imag / 2.0 + p * g * y                     # -S'(t) / 2
+        curvature = q * twice.real - p * (y * y - g * w.real)        # -S''(t) / 2
         # where S is flat to round-off (p = 1/3, nbar near 1e-32) the curvature can be
         # >= 0: no step is taken there, so none divides by zero
-        t = t - np.divide(slope, curvature, out=np.zeros_like(t), where=curvature < 0)
-    cos, sin = np.cos(t), np.sin(t)
-    g = c * cos - s * sin
-    first = cos * cos
-    side = sin * sin / 2.0
-    shared = (s * cos + c * sin) ** 2
-    right, wrong = (g + c) ** 2 / 2.0, (g - c) ** 2 / 2.0
-    return np.stack([np.stack([first, side, side], axis=-1),
-                     np.stack([shared, right, wrong], axis=-1),
-                     np.stack([shared, wrong, right], axis=-1)], axis=-2)
+        d = d - np.divide(slope, curvature, out=np.zeros_like(slope), where=curvature > 0)
+        z = best * np.exp(1j * d)
+    cos, sin = z.real, z.imag
+    # 1 - |cos t| = sin^2 t / (1 + |cos t|), which does not cancel
+    far = 1.0 + np.abs(cos)
+    near = sin * sin / far
+    plus, minus = np.where(cos < 0, near, far), np.where(cos < 0, far, near)
+    side, shared, lift = sin * sin / 2.0, (state * z).imag ** 2, s * sin
+    right, wrong = (c * plus - lift) ** 2 / 2.0, (c * minus + lift) ** 2 / 2.0
+    rows = np.stack([cos * cos, side, side, shared, right, wrong, shared, wrong, right], axis=-1)
+    return rows.reshape(*cos.shape, 3, 3), np.stack(
+        [c2 * (sin * sin - 2.0 * cos * cos) + 2.0 * c * lift * cos,
+         c * plus * (c * (3.0 * cos - 1.0) - 2.0 * lift) / 2.0,
+         c * minus * (2.0 * lift - c * (3.0 * cos + 1.0)) / 2.0], axis=-1)

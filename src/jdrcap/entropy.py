@@ -18,21 +18,38 @@ def _float_or_array(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def phi(v):
-    """phi(v) = (1 + v) ln(1 + v) - v for v >= -1, phi(-1) = 1, to a few ulps.
-
-    Between v = -1/2 and 2 that direct form cancels; there, with s = v/(2 + v),
-    ln(1 + v) = 2 atanh(s) gives phi = s^2 (2 + v) [1 + s (1 + s) U], U =
-    (atanh(s) - s)/s^3 = sum_k s^{2k}/(2k + 3), summed to 26 terms (s^2 < 1/4).
-    """
-    v = np.asarray(v, dtype=float)
+def _phi_series(v):
+    """phi on (-1/2, 2): with s = v/(2 + v), ln(1 + v) = 2 atanh(s) gives
+    phi = s^2 (2 + v) [1 + s (1 + s) U], U = (atanh(s) - s)/s^3 = sum_k s^{2k}/(2k + 3),
+    summed to 26 terms (s^2 < 1/4)."""
     s = v / (2.0 + v)
     z, u = s * s, 0.0
     for k in range(25, -1, -1):
         u = u * z + 1.0 / (2 * k + 3)
-    series = z * (2.0 + v) * (1.0 + s * (1.0 + s) * u)
-    direct = (1.0 + v) * np.log1p(v, out=np.zeros_like(v), where=v > -1.0) - v
-    return _float_or_array(np.where((v > -0.5) & (v < 2.0), series, direct))
+    return z * (2.0 + v) * (1.0 + s * (1.0 + s) * u)
+
+
+def _phi_direct(v):
+    """phi as (1 + v) ln(1 + v) - v, which cancels between -1/2 and 2; phi(-1) = 1."""
+    return (1.0 + v) * np.log1p(v, out=np.zeros_like(v), where=v > -1.0) - v
+
+
+def phi(v):
+    """phi(v) = (1 + v) ln(1 + v) - v for v >= -1, phi(-1) = 1, to a few ulps.
+
+    The direct form cancels between v = -1/2 and 2, where _phi_series takes
+    over. A form is evaluated only when some element lies in its range: a
+    scalar, or an array within one range, costs one form, and a mixed array
+    evaluates both and keeps each element's, which splitting the array would
+    not make faster.
+    """
+    v = np.asarray(v, dtype=float)
+    near = (v > -0.5) & (v < 2.0)
+    if near.all():
+        return _float_or_array(_phi_series(v))
+    if not near.any():
+        return _float_or_array(_phi_direct(v))
+    return _float_or_array(np.where(near, _phi_series(v), _phi_direct(v)))
 
 
 def symmetric_split(y):

@@ -7,7 +7,8 @@ The structured two-symbol receiver's I2 is a closed form; the MPE
 receiver's ratio curve is one lockstep computation: the prior scan
 maximizes every nbar of the grid at once, and each of its steps evaluates
 the measurement's one-angle form and the mutual information for the whole
-grid in one stacked array call.
+grid in one stacked array call. That mutual information is built from the
+rows' deviations, so both receivers hold over every positive nbar.
 """
 
 import numpy as np
@@ -16,13 +17,10 @@ from . import discrimination
 from .capacity_limits import (_held, _photons, c1_bpsk_dolinar, closed_form,
                               two_symbol_structured_capacity)
 from .dmc import ConvergenceError, check_priors
-from .entropy import relative_entropy
+from .entropy import LN2, phi, relative_entropy
 
 BA_TOL = 1e-12              # Blahut-Arimoto stop: width of the capacity bracket
 BA_MAX_ITER = 100000
-# below this nbar the MPE receiver's one-angle rows near 1 cannot hold their deviations,
-# and I2 falls silently short, so an MPE grid reaching under it is refused
-TWO_SYMBOL_FLOOR = 1e-20
 
 
 def mutual_information(channel, priors):
@@ -121,28 +119,48 @@ def two_symbol_ratio_curve(nbar_grid, receiver="structured"):
     superchannel over the prior family (1-2p, p, p). The structured
     receiver's is the closed form two_symbol_structured_capacity. For the
     MPE receiver the measurement is re-optimized for each prior, in its
-    one-angle form, before the mutual information is evaluated; one prior
-    scan covers the whole grid, each of its steps one array computation over
-    every nbar, and the grid may reach no lower than TWO_SYMBOL_FLOOR. The
-    grid must be 1-D and nonempty. Returns the arrays (i2, c1), aligned with
-    the grid; the ratio is i2 / c1.
+    one-angle form, before the mutual information is evaluated from its rows'
+    deviations (_two_symbol_mpe_information); one prior scan covers the whole
+    grid, each of its steps one array computation over every nbar. Either
+    receiver takes any 1-D, nonempty grid of positive nbar. Returns the
+    arrays (i2, c1), aligned with the grid; the ratio is i2 / c1.
     """
     nbar_grid = _curve_grid(nbar_grid)
     if receiver == "structured":
         return two_symbol_structured_capacity(nbar_grid), c1_bpsk_dolinar(nbar_grid)
     if receiver != "mpe":
         raise ValueError(f"unknown receiver {receiver!r}; use 'structured' or 'mpe'")
-    if nbar_grid.min() < TWO_SYMBOL_FLOOR:
-        raise ValueError(f"the two-symbol curve holds only from nbar = {TWO_SYMBOL_FLOOR:g} "
-                         f"up, got nbar = {nbar_grid.min():g}")
     held = _held(nbar_grid)[:, None]
-
-    def value(p):
-        rows = discrimination._two_symbol_mpe_rows(held, p)
-        return _mutual_information(rows, np.stack([1.0 - 2.0 * p, p, p], axis=-1)) / 2.0
-
-    _, i2 = prior_scan_max(value)
+    _, i2 = prior_scan_max(lambda p: _two_symbol_mpe_information(held, p) / 2.0)
     return i2, c1_bpsk_dolinar(nbar_grid)
+
+
+def _two_symbol_mpe_information(nbar, p):
+    """I(X;Y) in bits of the (2,3,1) code's MPE measurement at priors (1-2p, p, p).
+
+    The swap of the last two states maps the measurement and q = r P to
+    themselves, so I = (1-2p) D(P_1||q) + 2p D(P_2||q), with D(P||q) =
+    sum_y q_y phi(v_y), v = (P - q)/q: five phi terms, as columns 2 and 3 of
+    D(P_1||q) are equal. q is r P, a sum of terms >= 0, from the rows of
+    discrimination._two_symbol_mpe_rows; P - q comes from its deviations dP,
+    which sum to 0, so that dP_2 + dP_3 = (2 shared, -shared, -shared) and
+    nothing cancels as nbar -> 0. Where P < q/2, q phi(v) is taken as
+    P ln(P/q) - (P - q) from P itself: a v that rounds near -1 would put
+    eps |ln(P/q)| q into it as nbar grows. A column where q = 0 counts
+    nothing. Broadcasts over nbar and p, unchecked.
+    """
+    rows, dev = discrimination._two_symbol_mpe_rows(nbar, p)
+    p = np.asarray(p, dtype=float)[..., None]
+    q = (1.0 - 2.0 * p) * rows[..., 0, :] + p * (rows[..., 1, :] + rows[..., 2, :])
+    q = q[..., [0, 1, 0, 1, 1]]
+    gap = (p * [-2.0, 1.0, -2.0, 1.0, 1.0] + [0.0, 0.0, 1.0, 0.0, 0.0]) * dev[..., :1]
+    gap[..., 3:] += dev[..., 1:]
+    v = np.divide(gap, q, out=np.zeros_like(q), where=q > 0)
+    P = rows[..., [0, 0, 1, 1, 1], [0, 1, 0, 1, 2]]
+    far = v < -0.5
+    log = np.log(np.divide(P, q, out=np.ones_like(q), where=far & (P > 0)))
+    weight = p * [-2.0, -4.0, 2.0, 2.0, 2.0] + [1.0, 2.0, 0.0, 0.0, 0.0]
+    return np.vecdot(weight, np.where(far, P * log - gap, q * phi(v))) / LN2
 
 
 def capacity_curves(family, m, nbar_grid):

@@ -204,6 +204,39 @@ def two_symbol_mpe_mp(nbar, p, dps=50):
                        for i in range(3) for j in range(3) if r[i] > 0 and P[i][j] > 0)
 
 
+def _golden_max(f, steps):
+    """The largest value a golden-section search of ``steps`` steps finds for f,
+    unimodal on [0, 1/2], at the working precision."""
+    lo, hi = mp.mpf(0), mp.mpf(1) / 2
+    shrink = (mp.sqrt(5) - 1) / 2
+    c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    fc, fd = f(c), f(d)
+    for _ in range(steps):
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - shrink * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + shrink * (hi - lo)
+            fd = f(d)
+    return max(fc, fd)
+
+
+def two_symbol_mpe_i2_mp(nbar, steps=40):
+    """I2 of the (2,3,1) code on the MPE receiver, in mpmath: a golden-section
+    maximization over p of half of two_symbol_mpe_mp at priors (1-2p, p, p).
+
+    The MI is unimodal in p on [0, 1/2] from nbar = 1e-300 to 10; 40 steps
+    leave a bracket of 2e-9 about a flat maximum, a value error below 1e-17
+    relative. The precision is 40 digits plus -log10(nbar), as for
+    two_symbol_structured_mp.
+    """
+    dps = 40 + max(0, int(-math.log10(nbar)))
+    with mp.workdps(dps):
+        return _golden_max(lambda p: two_symbol_mpe_mp(nbar, p, dps) / 2, steps)
+
+
 def two_symbol_structured_mp(nbar, steps=60):
     """I2 of the (2,3,1) code on the structured receiver, in mpmath: a golden-section
     maximization over p of half the MI at priors (1-2p, p, p), as written.
@@ -234,20 +267,7 @@ def two_symbol_structured_mp(nbar, steps=60):
             return mp.fsum(r[i] * P * mp.log(P / out[j], 2) for i in range(3)
                            for j, P in enumerate(rows[i]) if r[i] > 0 and P > 0) / 2
 
-        lo, hi = mp.mpf(0), mp.mpf(1) / 2
-        shrink = (mp.sqrt(5) - 1) / 2
-        c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
-        fc, fd = half_mi(c), half_mi(d)
-        for _ in range(steps):
-            if fc >= fd:
-                hi, d, fd = d, c, fc
-                c = hi - shrink * (hi - lo)
-                fc = half_mi(c)
-            else:
-                lo, c, fc = c, d, fd
-                d = lo + shrink * (hi - lo)
-                fd = half_mi(d)
-        return max(fc, fd)
+        return _golden_max(half_mi, steps)
 
 
 def bsc_capacity(q, dps=40):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import jdrcap
 from jdrcap import cli
 
-from oracles import two_symbol_structured_mp
+from oracles import two_symbol_mpe_i2_mp, two_symbol_structured_mp
 
 EPS = np.finfo(float).eps
 
@@ -253,23 +253,29 @@ class TestSuperchannel:
         _, rows = parse_csv(out)
         assert rows.shape == (3, 5) and np.all(np.isfinite(rows))
 
-    def test_two_symbol_below_its_floor_usage_error(self, capsys):
-        err = usage_error_line(capsys, ["superchannel", "--family", "two_symbol",
-                                        "--receiver", "mpe", "--nbar-min", "9e-21",
-                                        "--nbar-max", "1e-3", "--points", "3"])
-        assert err == ("error: the two-symbol curve holds only from nbar = 1e-20 up, "
-                       "got nbar = 9e-21\n")
-
-    def test_two_symbol_structured_below_the_mpe_floor(self, capsys):
+    @pytest.mark.parametrize("receiver,oracle,ulps", [
+        ("structured", two_symbol_structured_mp, 4),
+        ("mpe", two_symbol_mpe_i2_mp, 8),
+    ])
+    def test_two_symbol_below_1e_20(self, capsys, receiver, oracle, ulps):
         code, out, _ = run(capsys, ["superchannel", "--family", "two_symbol",
-                                    "--nbar-min", "9e-21", "--nbar-max", "1e-3",
-                                    "--points", "3"])
+                                    "--receiver", receiver, "--nbar-min", "9e-21",
+                                    "--nbar-max", "1e-3", "--points", "3"])
         assert code == 0
         _, rows = parse_csv(out)
         for nbar, bits, pie, c1, ratio in rows:
-            want = two_symbol_structured_mp(nbar)
-            assert abs(bits - want) <= 4 * EPS * want, nbar
+            want = oracle(nbar)
+            assert abs(bits - want) <= ulps * EPS * want, nbar
             assert pie == bits / nbar and ratio == bits / c1
+
+    def test_two_symbol_mpe_over_the_lowest_valid_range(self, capsys):
+        assert ("1e-300", "1e-3") in VALID_RANGES
+        code, out, _ = run(capsys, ["superchannel", "--family", "two_symbol",
+                                    "--receiver", "mpe", "--nbar-min", "1e-300",
+                                    "--nbar-max", "1e-3", "--points", "50"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows.shape == (50, 5) and np.all(np.isfinite(rows))
 
     @pytest.mark.parametrize("family", ["hadamard_jdr", "rm_gm", "rm_mpe"])
     def test_m_out_of_range_usage_error(self, capsys, family):

@@ -608,7 +608,7 @@ class TestTwoSymbolMpeRows:
             if not 0.0 < p[1] < 0.5:
                 continue
             res = disc.mpe_solve(disc.PureStateEnsemble(gram=gram, priors=p))
-            rows = disc._two_symbol_mpe_rows(nbar, p[1])
+            rows, _ = disc._two_symbol_mpe_rows(nbar, p[1])
             assert abs(np.sum(p * np.diag(rows)) - res.success_probability) <= 1e-10
             assert np.max(np.abs(rows - res.channel.p)) <= 1e-9
 
@@ -616,20 +616,31 @@ class TestTwoSymbolMpeRows:
     @pytest.mark.parametrize("p", [0.05, 0.2, 0.33, 0.45])
     def test_mutual_information_matches_the_basis_oracle(self, nbar, p):
         priors = np.array([1 - 2 * p, p, p])
-        channel = disc.DiscreteChannel(disc._two_symbol_mpe_rows(nbar, p))
+        channel = disc.DiscreteChannel(disc._two_symbol_mpe_rows(nbar, p)[0])
         expected = float(two_symbol_mpe_mp(nbar, p))
         assert abs(mutual_information(channel, priors) / expected - 1.0) <= 1e-13
 
     def test_rows_sum_to_one(self):
         nbar = np.geomspace(1e-300, 1e3, 301)[:, None]
-        rows = disc._two_symbol_mpe_rows(nbar, np.linspace(0.0, 0.5, 65))
-        assert rows.shape == (301, 65, 3, 3) and np.all(rows >= 0)
+        rows, dev = disc._two_symbol_mpe_rows(nbar, np.linspace(0.0, 0.5, 65))
+        assert rows.shape == (301, 65, 3, 3) and dev.shape == (301, 65, 3) and np.all(rows >= 0)
         assert np.max(np.abs(rows.sum(axis=-1) - 1.0)) <= 4 * np.finfo(float).eps
+
+    def test_deviations_are_the_row_differences(self):
+        # the deviations hold the O(c) differences that rows near 1/2 or 1 lose; where
+        # the rows do hold them, the two agree to round-off, and row 3's are the swap
+        eps = np.finfo(float).eps
+        nbar = np.geomspace(1e-300, 1e3, 301)[:, None]
+        rows, dev = disc._two_symbol_mpe_rows(nbar, np.linspace(0.0, 0.5, 65))
+        assert np.max(np.abs(rows[..., 1, :] - rows[..., 0, :] - dev)) <= 4 * eps
+        assert np.max(np.abs(rows[..., 2, :] - rows[..., 0, :] - dev[..., [0, 2, 1]])) <= 4 * eps
+        scale = np.abs(dev).max(axis=-1)
+        assert np.all(np.abs(dev.sum(axis=-1)) <= 4 * eps * scale) and np.all(scale > 0)
 
     def test_success_is_the_largest_stationary_value(self):
         nbars = np.geomspace(1e-9, 1e2, 23)
         ps = np.linspace(0.0, 0.5, 41)
-        rows = disc._two_symbol_mpe_rows(nbars[:, None], ps)
+        rows, _ = disc._two_symbol_mpe_rows(nbars[:, None], ps)
         for i, nbar in enumerate(nbars):
             for j, p in enumerate(ps):
                 success = (1 - 2 * p) * rows[i, j, 0, 0] + 2 * p * rows[i, j, 1, 1]

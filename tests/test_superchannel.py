@@ -20,6 +20,8 @@ from oracles import (
     bec_capacity,
     bsc_capacity,
     mutual_information_direct,
+    two_symbol_mpe_i2_mp,
+    two_symbol_mpe_mp,
     two_symbol_structured_mp,
 )
 
@@ -223,20 +225,28 @@ class TestTwoSymbolRatioCurve:
         ratio = i2 / c1
         assert np.all(np.abs(ratio[1:] - ratio[0]) <= 1e-6)
 
-    def test_refuses_a_grid_below_its_floor(self):
-        # one double under 1e-20 is refused, wherever it sits in the grid
-        below = np.nextafter(sc.TWO_SYMBOL_FLOOR, 0.0)
-        with pytest.raises(ValueError, match=r"holds only from nbar = 1e-20 up"):
-            sc.two_symbol_ratio_curve([1e-3, below, 0.1], "mpe")
+    def test_mpe_ratio_holds_its_limit_from_1e_30_down(self):
+        # the small-nbar limit of I2/C1, 1.0265923682559768; above 1e-30 the ratio still
+        # carries a term of about 7.2e-3 sqrt(nbar), 7.2e-13 at 1e-20, which the oracle
+        # tests below resolve
+        grid = np.geomspace(1e-300, 1e-30, 28)
+        i2, c1 = sc.two_symbol_ratio_curve(grid, "mpe")
+        ratio = i2 / c1
+        assert np.all(np.abs(ratio - ratio[0]) <= 8 * EPS * ratio[0])
+        assert abs(ratio[0] - 1.0265923682559768) <= 4 * EPS
 
-    def test_structured_holds_below_the_mpe_floor(self):
-        # the closed form has no floor: the grid the MPE receiver refuses, against the
-        # mpmath maximization over the rows built from their definition
-        grid = [1e-3, np.nextafter(sc.TWO_SYMBOL_FLOOR, 0.0), 0.1]
-        i2, c1 = sc.two_symbol_ratio_curve(grid, "structured")
+    @pytest.mark.parametrize("receiver,oracle,ulps", [
+        ("structured", two_symbol_structured_mp, 4),
+        ("mpe", two_symbol_mpe_i2_mp, 8),
+    ])
+    def test_holds_below_1e_20(self, receiver, oracle, ulps):
+        # neither receiver has a floor: one double under 1e-20 between 1e-3 and 0.1, against
+        # the mpmath maximization over rows built apart from the package
+        grid = [1e-3, np.nextafter(1e-20, 0.0), 0.1]
+        i2, c1 = sc.two_symbol_ratio_curve(grid, receiver)
         for nbar, got in zip(grid, i2, strict=True):
-            want = two_symbol_structured_mp(nbar)
-            assert abs(got - want) <= 4 * EPS * want, nbar
+            want = oracle(nbar)
+            assert abs(got - want) <= ulps * EPS * want, nbar
         assert np.array_equal(c1, c1_bpsk_dolinar(np.array(grid)))
 
     @pytest.mark.parametrize("receiver", ["structured", "mpe"])
@@ -250,6 +260,35 @@ class TestTwoSymbolRatioCurve:
         nbar = 1e-6
         (i2,), _ = sc.two_symbol_ratio_curve([nbar], "mpe")
         assert 0.0 < i2 <= holevo_bpsk(nbar)
+
+
+class TestTwoSymbolMpeInformation:
+    """The MPE receiver's MI at fixed priors, from the rows and their deviations,
+    against the mpmath basis oracle at 40 + (-log10 nbar) digits."""
+
+    @staticmethod
+    def assert_within_8_eps(nbar, p):
+        got = float(sc._two_symbol_mpe_information(np.array(nbar), np.array(p)))
+        want = float(two_symbol_mpe_mp(nbar, p, dps=40 + max(0, int(-np.log10(nbar)))))
+        assert abs(got - want) <= 8 * EPS * want
+
+    @pytest.mark.parametrize("nbar", [1e-300, 1e-100, 1e-40, 1e-30, 1e-20, 1e-12, 1e-6])
+    @pytest.mark.parametrize("p", [0.05, 0.2, 0.33, 0.34, 0.4, 0.45, 0.472, 0.49])
+    def test_where_the_states_merge(self, nbar, p):
+        # rows near 1/2 and near 1 lose their O(sqrt nbar) deviations here: the route
+        # through the rows alone is 16 to 4.5e15 eps off above p = 1/3
+        self.assert_within_8_eps(nbar, p)
+
+    @pytest.mark.parametrize("nbar", [1e-3, 0.1, 1.0, 3.0, 8.0, 10.0])
+    @pytest.mark.parametrize("p", [0.05, 0.2, 0.33, 0.34, 0.4, 0.45, 0.472, 0.49])
+    def test_where_the_states_part(self, nbar, p):
+        # off-diagonal entries fall to 1e-19 of q here, so P/q near 0 is taken from P
+        self.assert_within_8_eps(nbar, p)
+
+    def test_zero_priors_count_nothing(self):
+        assert sc._two_symbol_mpe_information(np.array(0.1), np.array(0.0)) == 0.0
+        got = float(sc._two_symbol_mpe_information(np.array(0.1), np.array(0.5)))
+        assert abs(got - float(two_symbol_mpe_mp(0.1, 0.5))) <= 8 * EPS * got
 
 
 class TestCapacityCurves:
